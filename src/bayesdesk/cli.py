@@ -5,6 +5,13 @@ regress, predict, outliers. Inputs arrive as flags or CSV files; outputs
 are deterministic text, JSON (17 significant digits), or CSV, with
 plot-ready density grids and sweeps written as side CSV files on request.
 
+Each flag is declared once, in the `_FLAGS` registry; `_SUBCOMMANDS` lists,
+per subcommand, its handler and the flags it takes, in help order. The
+conjugate models that both `estimate` and `hpd` offer are built by one
+function each, found through the `_CONJUGATE` model table. Report tables,
+`--format csv` output and side-file tables are all written by
+`Table.write_csv`.
+
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure
 (improper posterior, banned improper prior, rank deficiency, unreachable
 coverage).
@@ -17,7 +24,7 @@ import csv
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -311,22 +318,13 @@ def _json_dumps(obj, indent: int = 0) -> str:
 def _flatten(obj, prefix: str = ""):
     if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}{k}." if not prefix else f"{prefix}{k}.")
+            yield from _flatten(v, f"{prefix}{k}.")
         return
     if isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}{i}.")
         return
     yield prefix[:-1], obj
-
-
-def _flatten_items(payload: dict):
-    for k, v in payload.items():
-        if isinstance(v, (dict, list, tuple)):
-            for key, val in _flatten(v, f"{k}."):
-                yield key, val
-        else:
-            yield k, v
 
 
 def _text_scalar(v) -> str:
@@ -342,7 +340,7 @@ def _text_scalar(v) -> str:
 class Table:
     """Column names plus rows of scalars, rendered aligned or as CSV."""
 
-    def __init__(self, columns: Sequence[str], rows: Sequence[Sequence], legend: str | None = None):
+    def __init__(self, columns: Sequence[str], rows: Iterable[Sequence], legend: str | None = None):
         self.columns = list(columns)
         self.rows = [list(r) for r in rows]
         self.legend = legend
@@ -368,6 +366,10 @@ class Table:
         for row in self.rows:
             writer.writerow([_csv_scalar(v) for v in row])
 
+    def to_csv(self, path: str) -> None:
+        with open(path, "w", newline="") as fh:
+            self.write_csv(fh)
+
 
 def _csv_scalar(v) -> str:
     if v is None:
@@ -379,12 +381,19 @@ def _csv_scalar(v) -> str:
     return str(v)
 
 
-def _resolve_out_path(path: str, out_dir: str | None) -> str:
-    base = out_dir or os.environ.get(OUT_DIR_ENV)
+def _write_side_file(args, key: str, payload: dict, content: Table | GridDensity) -> None:
+    """Write `content` to the file that flag --<key> names; record the path under `key`.
+
+    A relative name is placed under --out-dir, else $BAYESDESK_OUT_DIR, else
+    the working directory.
+    """
+    path = getattr(args, key)
+    base = args.out_dir or os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
+        path = os.path.join(base, path)
+    content.to_csv(path)
+    payload[key] = path
 
 
 def _emit(args, payload: dict, table: Table | None) -> None:
@@ -392,13 +401,9 @@ def _emit(args, payload: dict, table: Table | None) -> None:
         print(_json_dumps(payload))
         return
     if args.format == "csv":
-        if table is not None:
-            table.write_csv(sys.stdout)
-        else:
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(["key", "value"])
-            for k, v in _flatten_items(payload):
-                writer.writerow([k, _csv_scalar(v)])
+        if table is None:
+            table = Table(["key", "value"], _flatten(payload))
+        table.write_csv(sys.stdout)
         return
     # text: self-describing header with the resolved defaults
     alpha = getattr(args, "alpha", None)
@@ -408,12 +413,9 @@ def _emit(args, payload: dict, table: Table | None) -> None:
     print(f"# settings: alpha={_text_scalar(alpha if alpha is not None else 0.05)}"
           f" grid_points={points if points is not None else DEFAULT_GRID_POINTS}"
           f" seed={seed if seed is not None else 0}")
-    skip = set()
-    if table is not None and "rows" in payload:
-        skip.add("rows")
-    if "sweep" in payload:
-        skip.add("sweep")
-    for k, v in _flatten_items({k: v for k, v in payload.items() if k not in skip}):
+    # a list that the table shows is not repeated as key: value lines
+    shown = ("rows", "sweep") if table is not None else ()
+    for k, v in _flatten({k: v for k, v in payload.items() if k not in shown}):
         print(f"{k}: {_text_scalar(v)}")
     if table is not None:
         print()
@@ -444,15 +446,27 @@ def _resolve_stats(args) -> tuple[SummaryStats, dict]:
     return stats, source
 
 
-def _grid_for(dist, args) -> np.ndarray:
-    """Default evaluation grid: mean +/- 10 moment-matched sd, clipped to support."""
-    points = args.grid_points
-    if args.grid_min is not None and args.grid_max is not None:
-        if not args.grid_min < args.grid_max:
-            raise ValueError("--grid-min must be below --grid-max")
-        return np.linspace(args.grid_min, args.grid_max, points)
+def _stats_payload(stats: SummaryStats) -> dict:
+    return {"n": stats.n, "mean": stats.mean, "ssd": stats.sum_sq_dev}
+
+
+def _grid_from_range(args) -> np.ndarray | None:
+    """The --grid-min..--grid-max grid, or None when neither flag is given."""
     if (args.grid_min is None) != (args.grid_max is None):
         raise ValueError("--grid-min and --grid-max must be given together")
+    if args.grid_min is None:
+        return None
+    if not args.grid_min < args.grid_max:
+        raise ValueError("--grid-min must be below --grid-max")
+    return np.linspace(args.grid_min, args.grid_max, args.grid_points)
+
+
+def _grid_for(dist, args) -> np.ndarray:
+    """The flag range if given, else mean +/- 10 moment-matched sd, clipped to support."""
+    xs = _grid_from_range(args)
+    if xs is not None:
+        return xs
+    points = args.grid_points
     if isinstance(dist, Beta):
         return np.linspace(0.0, 1.0, points)
     if isinstance(dist, Gamma):
@@ -468,15 +482,9 @@ def _grid_for(dist, args) -> np.ndarray:
     raise ValueError(f"no default grid for {type(dist).__name__}")
 
 
-def _write_density_grid(dist, args, payload: dict) -> GridDensity:
+def _log_density_grid(dist, args) -> GridDensity:
     xs = _grid_for(dist, args)
-    lv = np.array([log_density(dist, x) for x in xs])
-    grid = GridDensity(xs, lv, normalized=True, log_norm_const=0.0)
-    if args.grid_csv:
-        path = _resolve_out_path(args.grid_csv, args.out_dir)
-        grid.to_csv(path)
-        payload["grid_csv"] = path
-    return grid
+    return GridDensity(xs, np.array([log_density(dist, x) for x in xs]))
 
 
 def _dist_payload(dist) -> dict:
@@ -490,6 +498,11 @@ def _dist_payload(dist) -> dict:
         return {"family": "StudentT", "df": dist.df, "location": dist.location,
                 "scale": dist.scale}
     raise TypeError(f"unsupported distribution {dist!r}")
+
+
+def _nig_prior(args) -> NormalInvGammaModel:
+    return NormalInvGammaModel(xi=args.prior_xi, lam_mu=args.prior_lam_mu,
+                               lam_sigma=args.prior_lam_sigma, alpha=args.prior_alpha)
 
 
 def _nig_payload(m: NormalInvGammaModel) -> dict:
@@ -522,41 +535,57 @@ def _counts_exposures(args) -> tuple[list[int], list[float], dict]:
 
 
 # ---------------------------------------------------------------------------
+# conjugate models shared by estimate and hpd
+
+def _beta_binomial(args) -> tuple[Beta, dict]:
+    if args.successes is None or args.trials is None:
+        raise ValueError("beta-binomial needs --successes and --trials")
+    model = BetaBinomialModel(args.prior_a, args.prior_b)
+    post = update_beta_binomial(model, args.successes, args.trials)
+    return post, {"prior": {"a": model.prior_a, "b": model.prior_b},
+                  "data": {"successes": args.successes, "trials": args.trials}}
+
+
+def _gamma_poisson(args) -> tuple[Gamma, dict]:
+    if args.prior_shape is None or args.prior_rate is None:
+        raise ValueError("gamma-poisson needs --prior-shape and --prior-rate")
+    model = GammaPoissonModel(args.prior_shape, args.prior_rate)
+    counts, exposures, source = _counts_exposures(args)
+    post = update_gamma_poisson(model, counts, exposures)
+    return post, {"prior": {"shape": model.prior_shape, "rate": model.prior_rate},
+                  "data": source}
+
+
+def _normal_known_var(args) -> tuple[Normal, dict]:
+    stats, source = _resolve_stats(args)
+    model = NormalKnownVarModel(xi=args.prior_xi, lam=args.prior_lam)
+    post = update_normal_known_var(model, stats, args.known_variance)
+    return post, {"prior": {"xi": model.xi, "lam": model.lam},
+                  "known_variance": args.known_variance, "data": source,
+                  "stats": _stats_payload(stats)}
+
+
+# model -> (builder, report fields hpd repeats). A builder checks its flags and
+# returns the posterior plus the report fields of `estimate`, in payload order.
+_CONJUGATE = {
+    "beta-binomial": (_beta_binomial, ()),
+    "gamma-poisson": (_gamma_poisson, ("data",)),
+    "normal-known-var": (_normal_known_var, ("data",)),
+}
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_estimate(args) -> tuple[dict, Table | None]:
     payload: dict = {"command": "estimate", "model": args.model}
-    if args.model == "beta-binomial":
-        if args.successes is None or args.trials is None:
-            raise ValueError("beta-binomial needs --successes and --trials")
-        model = BetaBinomialModel(args.prior_a, args.prior_b)
-        post = update_beta_binomial(model, args.successes, args.trials)
-        payload["prior"] = {"a": model.prior_a, "b": model.prior_b}
-        payload["data"] = {"successes": args.successes, "trials": args.trials}
-    elif args.model == "gamma-poisson":
-        if args.prior_shape is None or args.prior_rate is None:
-            raise ValueError("gamma-poisson needs --prior-shape and --prior-rate")
-        model = GammaPoissonModel(args.prior_shape, args.prior_rate)
-        counts, exposures, source = _counts_exposures(args)
-        post = update_gamma_poisson(model, counts, exposures)
-        payload["prior"] = {"shape": model.prior_shape, "rate": model.prior_rate}
-        payload["data"] = source
-    elif args.model == "normal-known-var":
+    if args.model == "normal-inv-gamma":
         stats, source = _resolve_stats(args)
-        model = NormalKnownVarModel(xi=args.prior_xi, lam=args.prior_lam)
-        post = update_normal_known_var(model, stats, args.known_variance)
-        payload["prior"] = {"xi": model.xi, "lam": model.lam}
-        payload["known_variance"] = args.known_variance
-        payload["data"] = source
-        payload["stats"] = {"n": stats.n, "mean": stats.mean, "ssd": stats.sum_sq_dev}
-    elif args.model == "normal-inv-gamma":
-        stats, source = _resolve_stats(args)
-        prior = NormalInvGammaModel(xi=args.prior_xi, lam_mu=args.prior_lam_mu,
-                                    lam_sigma=args.prior_lam_sigma, alpha=args.prior_alpha)
+        prior = _nig_prior(args)
         post = update_normal_inverse_gamma(prior, stats)
         payload["prior"] = _nig_payload(prior)
         payload["data"] = source
-        payload["stats"] = {"n": stats.n, "mean": stats.mean, "ssd": stats.sum_sq_dev}
+        payload["stats"] = _stats_payload(stats)
         payload["posterior"] = _nig_payload(post)
         payload["mu_posterior_mean"] = post.xi
         payload["sigma_sq_posterior_mean"] = (
@@ -567,17 +596,18 @@ def cmd_estimate(args) -> tuple[dict, Table | None]:
                                scale=math.sqrt(post.alpha / (2.0 * post.lam_sigma * post.lam_mu)))
         payload["mu_marginal"] = _dist_payload(mu_marginal)
         if args.grid_csv:
-            _write_density_grid(mu_marginal, args, payload)
+            _write_side_file(args, "grid_csv", payload, _log_density_grid(mu_marginal, args))
         return payload, None
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown model {args.model!r}")
+    build, _ = _CONJUGATE[args.model]
+    post, fields = build(args)
+    payload.update(fields)
     payload["posterior"] = _dist_payload(post)
     payload["posterior_mean"] = posterior_mean(post)
     est = map_estimate(post)
     payload["map_estimate"] = est.value
     payload["map_at_boundary"] = est.at_boundary
     if args.grid_csv:
-        _write_density_grid(post, args, payload)
+        _write_side_file(args, "grid_csv", payload, _log_density_grid(post, args))
     return payload, None
 
 
@@ -588,24 +618,19 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         post = update_normal_inverse_gamma(NormalInvGammaModel(), stats)
         payload["data"] = source
         payload["posterior"] = _nig_payload(post)
-        count = args.sample
-        if count is None:
+        if args.sample is None:
             raise ValueError("normal-jeffreys HPD is sample-based: pass --sample")
-        draws = sample_joint_posterior(post, count, args.seed)
+        draws = sample_joint_posterior(post, args.sample, args.seed)
         kept = hpd_from_sample(draws, lambda p: nig_log_density(post, p[0], p[1]), args.alpha)
-        kept_set = {(float(p[0]), float(p[1])) for p in kept}
         payload["seed"] = args.seed
-        payload["n_draws"] = int(count)
+        payload["n_draws"] = int(args.sample)
         payload["n_retained"] = int(kept.shape[0])
         if args.points_csv:
-            path = _resolve_out_path(args.points_csv, args.out_dir)
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["mu", "sigma_sq", "retained"])
-                for mu, s2 in draws:
-                    flag = (float(mu), float(s2)) in kept_set
-                    writer.writerow([_fmt17(mu), _fmt17(s2), "1" if flag else "0"])
-            payload["points_csv"] = path
+            kept_set = {(float(mu), float(s2)) for mu, s2 in kept}
+            points = Table(["mu", "sigma_sq", "retained"],
+                           [[mu, s2, int((float(mu), float(s2)) in kept_set)]
+                            for mu, s2 in draws])
+            _write_side_file(args, "points_csv", payload, points)
         return payload, None
 
     if args.model == "cauchy-normal":
@@ -614,43 +639,17 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         if not args.data:
             raise ValueError("cauchy-normal needs --data")
         values = _parse_float_list(args.data, "--data")
-        if (args.grid_min is None) != (args.grid_max is None):
-            raise ValueError("--grid-min and --grid-max must be given together")
-        if args.grid_min is not None:
-            if not args.grid_min < args.grid_max:
-                raise ValueError("--grid-min must be below --grid-max")
-            grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
-            raw = cauchy_normal_log_posterior(values, args.prior_var, grid)
-        else:
-            raw = cauchy_normal_log_posterior(values, args.prior_var, points=args.grid_points)
+        raw = cauchy_normal_log_posterior(values, args.prior_var, _grid_from_range(args),
+                                          args.grid_points)
         payload["prior_variance"] = args.prior_var
         payload["data"] = values
         grid_density = normalize(raw)
-    elif args.model == "beta-binomial":
-        if args.successes is None or args.trials is None:
-            raise ValueError("beta-binomial needs --successes and --trials")
-        post = update_beta_binomial(BetaBinomialModel(args.prior_a, args.prior_b),
-                                    args.successes, args.trials)
+    else:
+        build, shared = _CONJUGATE[args.model]
+        post, fields = build(args)
+        payload.update((key, fields[key]) for key in shared)
         payload["posterior"] = _dist_payload(post)
-        grid_density = normalize(_density_grid(post, args))
-    elif args.model == "gamma-poisson":
-        if args.prior_shape is None or args.prior_rate is None:
-            raise ValueError("gamma-poisson needs --prior-shape and --prior-rate")
-        counts, exposures, source = _counts_exposures(args)
-        post = update_gamma_poisson(GammaPoissonModel(args.prior_shape, args.prior_rate),
-                                    counts, exposures)
-        payload["data"] = source
-        payload["posterior"] = _dist_payload(post)
-        grid_density = normalize(_density_grid(post, args))
-    elif args.model == "normal-known-var":
-        stats, source = _resolve_stats(args)
-        post = update_normal_known_var(NormalKnownVarModel(xi=args.prior_xi, lam=args.prior_lam),
-                                       stats, args.known_variance)
-        payload["data"] = source
-        payload["posterior"] = _dist_payload(post)
-        grid_density = normalize(_density_grid(post, args))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown model {args.model!r}")
+        grid_density = normalize(_log_density_grid(post, args))
 
     region = hpd_from_grid(grid_density, args.alpha)
     payload["grid"] = {"min": float(grid_density.xs[0]), "max": float(grid_density.xs[-1]),
@@ -660,16 +659,8 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
     payload["coverage"] = region.coverage
     payload["intervals"] = [{"lo": lo, "hi": hi} for lo, hi in region.intervals]
     if args.grid_csv:
-        path = _resolve_out_path(args.grid_csv, args.out_dir)
-        grid_density.to_csv(path)
-        payload["grid_csv"] = path
+        _write_side_file(args, "grid_csv", payload, grid_density)
     return payload, None
-
-
-def _density_grid(dist, args) -> GridDensity:
-    xs = _grid_for(dist, args)
-    lv = np.array([log_density(dist, x) for x in xs])
-    return GridDensity(xs, lv)
 
 
 def _resolve_sd(args, name: str, default: float | None) -> float | None:
@@ -687,23 +678,19 @@ def _resolve_sd(args, name: str, default: float | None) -> float | None:
 
 
 def cmd_test(args) -> tuple[dict, Table | None]:
-    payload: dict = {"command": "test"}
+    mode = ("one-sided" if args.one_sided
+            else "point-null-improper" if args.point_null_improper else "point-null")
+    payload: dict = {"command": "test", "mode": mode, "x": args.x}
     if args.one_sided:
-        payload["mode"] = "one-sided"
-        payload["x"] = args.x
         payload["posterior_prob_theta_le_0"] = one_sided_posterior_prob(args.x)
         return payload, None
     if args.point_null_improper:
-        payload["mode"] = "point-null-improper"
-        payload["x"] = args.x
         payload["posterior_null_prob"] = improper_point_null_prob(args.x)
         payload["upper_bound"] = improper_point_null_prob(0.0)
         return payload, None
 
     sigma = _resolve_sd(args, "sigma", 1.0)
     tau = _resolve_sd(args, "tau", None)
-    payload["mode"] = "point-null"
-    payload["x"] = args.x
     payload["sigma"] = sigma
     payload["rho"] = args.rho
     payload["theta0"] = args.theta0
@@ -748,14 +735,8 @@ def cmd_test(args) -> tuple[dict, Table | None]:
         table = Table(["tau", "bf10", "posterior_null_prob"],
                       [[p.tau, p.bf10, p.posterior_null_prob] for p in points])
         if args.sweep_csv:
-            path = _resolve_out_path(args.sweep_csv, args.out_dir)
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["tau", "bf10", "posterior_prob"])
-                for p in points:
-                    writer.writerow([_fmt17(p.tau), _fmt17(p.bf10),
-                                     _fmt17(p.posterior_null_prob)])
-            payload["sweep_csv"] = path
+            _write_side_file(args, "sweep_csv", payload,
+                             Table(["tau", "bf10", "posterior_prob"], table.rows))
     return payload, table
 
 
@@ -785,36 +766,30 @@ def cmd_regress(args) -> tuple[dict, Table | None]:
     table = Table(["coefficient", "Estimate", "BF", "log10(BF)", ""], rows,
                   legend=EVIDENCE_LEGEND)
     if args.report_csv:
-        path = _resolve_out_path(args.report_csv, args.out_dir)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["name", "estimate", "bf10", "log10_bf10", "label"])
-            for r in summary.rows:
-                writer.writerow([r.name, _fmt17(r.estimate),
-                                 _fmt17(r.bf10) if r.bf10 is not None else "",
-                                 _fmt17(r.log10_bf10) if r.log10_bf10 is not None else "",
-                                 r.label])
-        payload["report_csv"] = path
+        report = Table(["name", "estimate", "bf10", "log10_bf10", "label"],
+                       [[r.name, r.estimate, r.bf10, r.log10_bf10, r.label]
+                        for r in summary.rows])
+        _write_side_file(args, "report_csv", payload, report)
     return payload, table
 
 
 def cmd_predict(args) -> tuple[dict, Table | None]:
     stats, source = _resolve_stats(args)
-    prior = NormalInvGammaModel(xi=args.prior_xi, lam_mu=args.prior_lam_mu,
-                                lam_sigma=args.prior_lam_sigma, alpha=args.prior_alpha)
+    prior = _nig_prior(args)
     post = update_normal_inverse_gamma(prior, stats)
     pred = predictive_from_posterior(post)
     payload = {
         "command": "predict",
         "prior": _nig_payload(prior),
         "data": source,
-        "stats": {"n": stats.n, "mean": stats.mean, "ssd": stats.sum_sq_dev},
+        "stats": _stats_payload(stats),
         "posterior": _nig_payload(post),
         "predictive": {"family": "StudentT", "df": pred.df,
                        "location": pred.location, "scale": pred.scale},
     }
     if args.grid_csv:
-        _write_density_grid(pred.to_distribution(), args, payload)
+        _write_side_file(args, "grid_csv", payload,
+                         _log_density_grid(pred.to_distribution(), args))
     return payload, None
 
 
@@ -823,8 +798,7 @@ def cmd_outliers(args) -> tuple[dict, Table | None]:
         values = _parse_float_list(args.data, "--data")
         source: dict = {"data": values}
     elif args.data_file:
-        arr, column = _read_numeric_column(args.data_file, args.column)
-        values = arr
+        values, column = _read_numeric_column(args.data_file, args.column)
         source = {"data_file": args.data_file, "column": column}
     else:
         raise ValueError("need --data or --data-file")
@@ -840,52 +814,126 @@ def cmd_outliers(args) -> tuple[dict, Table | None]:
         "rows": [{"index": r.index, "value": r.value, "loo_cdf": r.loo_cdf,
                   "flagged": r.flagged, "degenerate": r.degenerate} for r in report.rows],
     }
-    table = Table(["index", "value", "loo_cdf", "flagged", "degenerate"],
-                  [[r.index, format(r.value, ".6g"), format(r.loo_cdf, ".6f"),
-                    r.flagged, r.degenerate] for r in report.rows])
+    columns = ["index", "value", "loo_cdf", "flagged", "degenerate"]
+    table = Table(columns, [[r.index, format(r.value, ".6g"), format(r.loo_cdf, ".6f"),
+                             r.flagged, r.degenerate] for r in report.rows])
     if args.report_csv:
-        path = _resolve_out_path(args.report_csv, args.out_dir)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "value", "loo_cdf", "flagged", "degenerate"])
-            for r in report.rows:
-                writer.writerow([r.index, _fmt17(r.value), _fmt17(r.loo_cdf),
-                                 "true" if r.flagged else "false",
-                                 "true" if r.degenerate else "false"])
-        payload["report_csv"] = path
+        report_table = Table(columns, [[r.index, r.value, r.loo_cdf, r.flagged, r.degenerate]
+                                       for r in report.rows])
+        _write_side_file(args, "report_csv", payload, report_table)
     return payload, table
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                     help="output format (default text)")
-    sub.add_argument("--out-dir", default=None,
-                     help=f"directory for side-output files (default ${OUT_DIR_ENV} or cwd)")
+# Every flag, declared once: name -> add_argument keywords.
+_FLAGS: dict[str, dict] = {
+    "--model": {"required": True},
+    "--alpha": {"type": float, "default": 0.05, "help": "1 - coverage (default 0.05)"},
+    "--prior-var": {"type": float,
+                    "help": "prior variance of the normal mean (cauchy-normal)"},
+    "--successes": {"type": int},
+    "--trials": {"type": int},
+    "--prior-a": {"type": float, "default": 1.0},
+    "--prior-b": {"type": float, "default": 1.0},
+    "--prior-shape": {"type": float},
+    "--prior-rate": {"type": float},
+    "--counts": {"help": "comma-separated event counts"},
+    "--exposures": {"help": "comma-separated exposures"},
+    "--group": {"help": "group filter for the contingency schema"},
+    "--prior-xi": {"type": float, "default": 0.0},
+    "--prior-lam": {"type": float, "default": 0.0},
+    "--known-variance": {"type": float, "default": 1.0},
+    "--prior-lam-mu": {"type": float, "default": 0.0},
+    "--prior-lam-sigma": {"type": float, "default": 0.0},
+    "--prior-alpha": {"type": float, "default": 0.0},
+    "--sample": {"type": int, "help": "draw count for the sample-based 2-D region"},
+    "--seed": {"type": int, "default": 0},
+    "--points-csv": {"help": "write draws with a retained flag (normal-jeffreys)"},
+    "--stats": {"help": "summary stats as n=..,mean=..,ssd=.."},
+    "--data": {"help": "comma-separated sample values"},
+    "--data-file": {"help": "CSV file with one numeric column"},
+    "--column": {"help": "column name inside --data-file"},
+    "--grid-min": {"type": float},
+    "--grid-max": {"type": float},
+    "--grid-points": {"type": int, "default": DEFAULT_GRID_POINTS,
+                      "help": f"grid resolution (default {DEFAULT_GRID_POINTS})"},
+    "--grid-csv": {"help": "write the density grid as CSV"},
+    "--point-null": {"action": "store_true"},
+    "--point-null-improper": {"action": "store_true"},
+    "--one-sided": {"action": "store_true"},
+    "--x": {"type": float, "required": True, "help": "observed value"},
+    "--sigma": {"type": float, "help": "sampling sd (default 1)"},
+    "--sigma-sq": {"type": float, "help": "sampling variance"},
+    "--tau": {"type": float, "help": "slab sd"},
+    "--tau-sq": {"type": float, "help": "slab variance"},
+    "--rho": {"type": float, "default": 0.5, "help": "prior null weight (default 0.5)"},
+    "--theta0": {"type": float, "default": 0.0, "help": "null value (default 0)"},
+    "--slab": {"choices": ("normal", "flat"), "default": "normal",
+               "help": "slab prior; flat is refused with a numerical error"},
+    "--quadrature": {"action": "store_true",
+                     "help": "compute the Bayes factor by quadrature instead of closed form"},
+    "--sweep-tau": {"metavar": "LO,HI,POINTS", "help": "evaluate along a log-spaced tau grid"},
+    "--sweep-csv": {"help": "write the sweep as CSV"},
+    "--response": {"required": True, "help": "name of the response column"},
+    "--g": {"type": float, "help": "g value (default n)"},
+    "--no-intercept": {"action": "store_true",
+                       "help": "do not prepend an all-ones intercept column"},
+    "--report-csv": {"help": "write the table as CSV"},
+    "--format": {"choices": ("text", "json", "csv"), "default": "text",
+                 "help": "output format (default text)"},
+    "--out-dir": {"help": f"directory for side-output files (default ${OUT_DIR_ENV} or cwd)"},
+}
+
+_STATS_SOURCES = ("--stats", "--data", "--data-file", "--column")
+_GRID_FLAGS = ("--grid-min", "--grid-max", "--grid-points", "--grid-csv")
+_NIG_PRIOR_FLAGS = ("--prior-xi", "--prior-lam-mu", "--prior-lam-sigma", "--prior-alpha")
+_COMMON_FLAGS = ("--format", "--out-dir")
 
 
-def _add_stats_sources(sub) -> None:
-    sub.add_argument("--stats", default=None, help="summary stats as n=..,mean=..,ssd=..")
-    sub.add_argument("--data", default=None, help="comma-separated sample values")
-    sub.add_argument("--data-file", default=None, help="CSV file with one numeric column")
-    sub.add_argument("--column", default=None, help="column name inside --data-file")
+class _Subcommand(NamedTuple):
+    run: Callable[[argparse.Namespace], tuple[dict, Table | None]]
+    help: str
+    flags: tuple[str, ...]  # in help order
+    overrides: dict = {}  # flag -> keywords added to or replacing the registry's
+    one_of: tuple[str, ...] = ()  # exactly one of these flags is required
 
 
-def _add_grid_flags(sub) -> None:
-    sub.add_argument("--grid-min", type=float, default=None)
-    sub.add_argument("--grid-max", type=float, default=None)
-    sub.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS,
-                     help=f"grid resolution (default {DEFAULT_GRID_POINTS})")
-    sub.add_argument("--grid-csv", default=None, help="write the density grid as CSV")
-
-
-def _add_nig_prior_flags(sub) -> None:
-    sub.add_argument("--prior-xi", type=float, default=0.0)
-    sub.add_argument("--prior-lam-mu", type=float, default=0.0)
-    sub.add_argument("--prior-lam-sigma", type=float, default=0.0)
-    sub.add_argument("--prior-alpha", type=float, default=0.0)
+_SUBCOMMANDS = {
+    "estimate": _Subcommand(
+        cmd_estimate, "conjugate posterior update and point estimates",
+        ("--model", "--successes", "--trials", "--prior-a", "--prior-b", "--prior-shape",
+         "--prior-rate", "--counts", "--exposures", "--group", "--prior-lam",
+         "--known-variance", *_NIG_PRIOR_FLAGS, *_STATS_SOURCES, *_GRID_FLAGS,
+         *_COMMON_FLAGS),
+        {"--model": {"choices": (*_CONJUGATE, "normal-inv-gamma")}}),
+    "hpd": _Subcommand(
+        cmd_hpd, "highest-posterior-density credible regions",
+        ("--model", "--alpha", "--prior-var", "--successes", "--trials", "--prior-a",
+         "--prior-b", "--prior-shape", "--prior-rate", "--counts", "--exposures", "--group",
+         "--prior-xi", "--prior-lam", "--known-variance", "--sample", "--seed", "--points-csv",
+         *_STATS_SOURCES, *_GRID_FLAGS, *_COMMON_FLAGS),
+        {"--model": {"choices": ("cauchy-normal", *_CONJUGATE, "normal-jeffreys")}}),
+    "test": _Subcommand(
+        cmd_test, "point-null and one-sided Bayesian tests",
+        ("--x", "--sigma", "--sigma-sq", "--tau", "--tau-sq", "--rho", "--theta0", "--slab",
+         "--quadrature", "--sweep-tau", "--sweep-csv", *_COMMON_FLAGS),
+        one_of=("--point-null", "--point-null-improper", "--one-sided")),
+    "regress": _Subcommand(
+        cmd_regress, "g-prior regression variable-selection report",
+        ("--data-file", "--response", "--g", "--no-intercept", "--report-csv", *_COMMON_FLAGS),
+        {"--data-file": {"required": True, "help": "CSV with header row"}}),
+    "predict": _Subcommand(
+        cmd_predict, "posterior predictive for the normal model",
+        (*_NIG_PRIOR_FLAGS, *_STATS_SOURCES, *_GRID_FLAGS, *_COMMON_FLAGS)),
+    "outliers": _Subcommand(
+        cmd_outliers, "leave-one-out predictive outlier detection",
+        ("--alpha", "--data", "--data-file", "--column", "--report-csv", *_COMMON_FLAGS),
+        {"--alpha": {"default": 0.95,
+                     "help": "nominal level; familywise false-flag rate is 1-alpha "
+                             "(default 0.95)"}}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -894,121 +942,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian estimation, credible regions, testing, regression, "
                     "prediction, and outlier detection from the command line.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    est = subs.add_parser("estimate", help="conjugate posterior update and point estimates")
-    est.add_argument("--model", required=True,
-                     choices=("beta-binomial", "gamma-poisson", "normal-known-var",
-                              "normal-inv-gamma"))
-    est.add_argument("--successes", type=int, default=None)
-    est.add_argument("--trials", type=int, default=None)
-    est.add_argument("--prior-a", type=float, default=1.0)
-    est.add_argument("--prior-b", type=float, default=1.0)
-    est.add_argument("--prior-shape", type=float, default=None)
-    est.add_argument("--prior-rate", type=float, default=None)
-    est.add_argument("--counts", default=None, help="comma-separated event counts")
-    est.add_argument("--exposures", default=None, help="comma-separated exposures")
-    est.add_argument("--group", default=None, help="group filter for the contingency schema")
-    est.add_argument("--prior-lam", type=float, default=0.0)
-    est.add_argument("--known-variance", type=float, default=1.0)
-    _add_nig_prior_flags(est)
-    _add_stats_sources(est)
-    _add_grid_flags(est)
-    _add_common(est)
-
-    hp = subs.add_parser("hpd", help="highest-posterior-density credible regions")
-    hp.add_argument("--model", required=True,
-                    choices=("cauchy-normal", "beta-binomial", "gamma-poisson",
-                             "normal-known-var", "normal-jeffreys"))
-    hp.add_argument("--alpha", type=float, default=0.05,
-                    help="1 - coverage (default 0.05)")
-    hp.add_argument("--prior-var", type=float, default=None,
-                    help="prior variance of the normal mean (cauchy-normal)")
-    hp.add_argument("--successes", type=int, default=None)
-    hp.add_argument("--trials", type=int, default=None)
-    hp.add_argument("--prior-a", type=float, default=1.0)
-    hp.add_argument("--prior-b", type=float, default=1.0)
-    hp.add_argument("--prior-shape", type=float, default=None)
-    hp.add_argument("--prior-rate", type=float, default=None)
-    hp.add_argument("--counts", default=None)
-    hp.add_argument("--exposures", default=None)
-    hp.add_argument("--group", default=None)
-    hp.add_argument("--prior-xi", type=float, default=0.0)
-    hp.add_argument("--prior-lam", type=float, default=0.0)
-    hp.add_argument("--known-variance", type=float, default=1.0)
-    hp.add_argument("--sample", type=int, default=None,
-                    help="draw count for the sample-based 2-D region")
-    hp.add_argument("--seed", type=int, default=0)
-    hp.add_argument("--points-csv", default=None,
-                    help="write draws with a retained flag (normal-jeffreys)")
-    _add_stats_sources(hp)
-    _add_grid_flags(hp)
-    _add_common(hp)
-
-    te = subs.add_parser("test", help="point-null and one-sided Bayesian tests")
-    mode = te.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--point-null", action="store_true")
-    mode.add_argument("--point-null-improper", action="store_true")
-    mode.add_argument("--one-sided", action="store_true")
-    te.add_argument("--x", type=float, required=True, help="observed value")
-    te.add_argument("--sigma", type=float, default=None, help="sampling sd (default 1)")
-    te.add_argument("--sigma-sq", type=float, default=None, help="sampling variance")
-    te.add_argument("--tau", type=float, default=None, help="slab sd")
-    te.add_argument("--tau-sq", type=float, default=None, help="slab variance")
-    te.add_argument("--rho", type=float, default=0.5, help="prior null weight (default 0.5)")
-    te.add_argument("--theta0", type=float, default=0.0, help="null value (default 0)")
-    te.add_argument("--slab", choices=("normal", "flat"), default="normal",
-                    help="slab prior; flat is refused with a numerical error")
-    te.add_argument("--quadrature", action="store_true",
-                    help="compute the Bayes factor by quadrature instead of closed form")
-    te.add_argument("--sweep-tau", default=None, metavar="LO,HI,POINTS",
-                    help="evaluate along a log-spaced tau grid")
-    te.add_argument("--sweep-csv", default=None, help="write the sweep as CSV")
-    _add_common(te)
-
-    rg = subs.add_parser("regress", help="g-prior regression variable-selection report")
-    rg.add_argument("--data-file", required=True, help="CSV with header row")
-    rg.add_argument("--response", required=True, help="name of the response column")
-    rg.add_argument("--g", type=float, default=None, help="g value (default n)")
-    rg.add_argument("--no-intercept", action="store_true",
-                    help="do not prepend an all-ones intercept column")
-    rg.add_argument("--report-csv", default=None, help="write the table as CSV")
-    _add_common(rg)
-
-    pr = subs.add_parser("predict", help="posterior predictive for the normal model")
-    _add_nig_prior_flags(pr)
-    _add_stats_sources(pr)
-    _add_grid_flags(pr)
-    _add_common(pr)
-
-    ou = subs.add_parser("outliers", help="leave-one-out predictive outlier detection")
-    ou.add_argument("--alpha", type=float, default=0.95,
-                    help="nominal level; familywise false-flag rate is 1-alpha (default 0.95)")
-    ou.add_argument("--data", default=None, help="comma-separated sample values")
-    ou.add_argument("--data-file", default=None)
-    ou.add_argument("--column", default=None)
-    ou.add_argument("--report-csv", default=None)
-    _add_common(ou)
-
+    for name, spec in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=spec.help)
+        if spec.one_of:
+            mode = sub.add_mutually_exclusive_group(required=True)
+            for flag in spec.one_of:
+                mode.add_argument(flag, **_FLAGS[flag])
+        for flag in spec.flags:
+            sub.add_argument(flag, **{**_FLAGS[flag], **spec.overrides.get(flag, {})})
     return parser
-
-
-_DISPATCH = {
-    "estimate": cmd_estimate,
-    "hpd": cmd_hpd,
-    "test": cmd_test,
-    "regress": cmd_regress,
-    "predict": cmd_predict,
-    "outliers": cmd_outliers,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_preprocess_argv(list(argv)))
+    args = build_parser().parse_args(_preprocess_argv(list(argv)))
     try:
-        payload, table = _DISPATCH[args.command](args)
+        payload, table = _SUBCOMMANDS[args.command].run(args)
         _emit(args, payload, table)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
