@@ -274,10 +274,6 @@ def _read_regression(path: str, response: str, add_intercept: bool) -> Regressio
 # output formatting
 
 def _fmt17(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
 
 
@@ -342,7 +338,7 @@ class Table:
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Sequence], legend: str | None = None):
         self.columns = list(columns)
-        self.rows = [list(r) for r in rows]
+        self.rows = list(rows)
         self.legend = legend
 
     def render_text(self) -> list[str]:
@@ -364,7 +360,7 @@ class Table:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(self.columns)
         for row in self.rows:
-            writer.writerow([_csv_scalar(v) for v in row])
+            writer.writerow(map(_csv_scalar, row))
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -372,12 +368,12 @@ class Table:
 
 
 def _csv_scalar(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return _fmt17(v)
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return _fmt17(float(v))
     return str(v)
 
 
@@ -626,10 +622,9 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         payload["n_draws"] = int(args.sample)
         payload["n_retained"] = int(kept.shape[0])
         if args.points_csv:
-            kept_set = {(float(mu), float(s2)) for mu, s2 in kept}
+            kept_set = set(map(tuple, kept.tolist()))
             points = Table(["mu", "sigma_sq", "retained"],
-                           [[mu, s2, int((float(mu), float(s2)) in kept_set)]
-                            for mu, s2 in draws])
+                           [[mu, s2, int((mu, s2) in kept_set)] for mu, s2 in draws.tolist()])
             _write_side_file(args, "points_csv", payload, points)
         return payload, None
 

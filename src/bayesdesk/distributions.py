@@ -296,8 +296,13 @@ def cdf(d: Distribution, x: float) -> float:
         return reg_inc_gamma_upper(k + 1.0, d.rate)
     if isinstance(d, StudentT):
         t = (x - d.location) / d.scale
-        u = d.df / (d.df + t * t)
-        half = 0.5 * reg_inc_beta(0.5 * d.df, 0.5, u)
+        t2 = t * t
+        if t2 < d.df:
+            # near the centre 1 - df/(df+t^2) cancels; P(|T| <= |t|) = I_w(1/2, df/2)
+            # with w = t^2/(df+t^2) keeps full precision there
+            half = 0.5 * reg_inc_beta(0.5, 0.5 * d.df, t2 / (d.df + t2))
+            return 0.5 + half if t > 0.0 else 0.5 - half
+        half = 0.5 * reg_inc_beta(0.5 * d.df, 0.5, d.df / (d.df + t2))
         return 1.0 - half if t > 0.0 else half
     if isinstance(d, Cauchy):
         return 0.5 + math.atan((x - d.location) / d.scale) / math.pi

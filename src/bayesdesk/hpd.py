@@ -69,7 +69,7 @@ class GridDensity:
     def to_csv(self, path: str) -> None:
         """Write the grid as two-column CSV (x, density)."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x", "density"])
             for x, d in zip(self.xs, self.densities()):
                 writer.writerow([format(x, ".17g"), format(d, ".17g")])

@@ -76,7 +76,7 @@ class TestEstimate:
         assert code == 0
         rows = np.loadtxt(target, delimiter=",", skiprows=1)
         assert rows.shape == (4001, 2)
-        mass = np.trapezoid(rows[:, 1], rows[:, 0])
+        mass = float(np.sum(0.5 * (rows[1:, 1] + rows[:-1, 1]) * np.diff(rows[:, 0])))
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_missing_flags_exit_2(self, capsys):
@@ -310,17 +310,37 @@ class TestOutliers:
         assert code == 2
 
 
+# one run per subcommand, each writing its side file as side.csv
+SIDE_FILE_RUNS = {
+    "estimate": ("estimate", "--model", "beta-binomial", "--successes", "38", "--trials", "58",
+                 "--grid-csv", "side.csv"),
+    "hpd-cauchy-normal": ("hpd", "--model", "cauchy-normal", "--prior-var", "10",
+                          "--data", "-4.3,3.2", "--alpha", "0.05", "--grid-csv", "side.csv"),
+    "hpd-normal-jeffreys": ("hpd", "--model", "normal-jeffreys", "--stats", "n=10,mean=0,ssd=1",
+                            "--alpha", "0.9", "--sample", "1000", "--seed", "7",
+                            "--points-csv", "side.csv"),
+    "test": ("test", "--point-null", "--x", "1.96", "--sweep-tau", "1e-4,10,50",
+             "--sweep-csv", "side.csv"),
+    "regress": ("regress", "--data-file", str(DATA / "regress20.csv"), "--response", "y",
+                "--report-csv", "side.csv"),
+    "predict": ("predict", "--data-file", str(DATA / "sample10.csv"), "--grid-csv", "side.csv"),
+    "outliers": ("outliers", "--data-file", str(DATA / "planted_outlier.csv"),
+                 "--report-csv", "side.csv"),
+}
+
+
 class TestOutputContract:
-    def test_byte_identical_reruns(self, capsys):
-        argv = ("hpd", "--model", "cauchy-normal", "--prior-var", "10",
-                "--data", "-4.3,3.2", "--alpha", "0.05", "--format", "json")
-        _, first, _ = run(capsys, *argv)
-        _, second, _ = run(capsys, *argv)
-        assert first == second
-        for fmt in ("text", "csv"):
-            _, a, _ = run(capsys, *argv[:-1], fmt)
-            _, b, _ = run(capsys, *argv[:-1], fmt)
-            assert a == b
+    @pytest.mark.parametrize("argv", list(SIDE_FILE_RUNS.values()), ids=list(SIDE_FILE_RUNS))
+    def test_byte_identical_reruns(self, capsys, tmp_path, argv):
+        side = tmp_path / "side.csv"
+        for fmt in ("json", "text", "csv"):
+            runs = []
+            for _ in range(2):
+                code, out, _ = run(capsys, *argv, "--out-dir", str(tmp_path), "--format", fmt)
+                assert code == 0
+                runs.append((out, side.read_bytes()))
+                side.unlink()
+            assert runs[0] == runs[1]
 
     def test_json_17_significant_digits(self, capsys):
         _, out, _ = run(capsys, "test", "--point-null", "--x", "1.96",

@@ -109,9 +109,12 @@ class TestLogDensity:
 class TestCdf:
     def test_matches_scipy(self):
         rng = np.random.default_rng(22)
-        for d in CONTINUOUS:
+        cases = [(d, _scipy_of(d).ppf(rng.uniform(0.005, 0.995, 40))) for d in CONTINUOUS]
+        # the centre of a high-df Student-t, where df/(df+t^2) is within 1e-8 of one
+        cases.append((StudentT(1e4), np.linspace(-0.01, 0.01, 21)))
+        for d, xs in cases:
             ref = _scipy_of(d)
-            for x in ref.ppf(rng.uniform(0.005, 0.995, 40)):
+            for x in xs:
                 assert cdf(d, float(x)) == pytest.approx(float(ref.cdf(x)), abs=5e-12)
 
     def test_discrete_steps(self):

@@ -59,6 +59,7 @@ class TestGridDensity:
         assert rows.shape == (101, 2)
         assert np.allclose(rows[:, 0], g.xs)
         assert np.allclose(rows[:, 1], g.densities())
+        assert b"\r" not in path.read_bytes()
 
 
 class TestNormalize:
