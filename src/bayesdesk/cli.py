@@ -447,7 +447,12 @@ def _stats_payload(stats: SummaryStats) -> dict:
 
 
 def _grid_from_range(args) -> np.ndarray | None:
-    """The --grid-min..--grid-max grid, or None when neither flag is given."""
+    """The --grid-min..--grid-max grid, or None when neither flag is given.
+
+    Every grid route calls this first, so it also checks --grid-points.
+    """
+    if args.grid_points < 3:
+        raise ValueError(f"--grid-points must be at least 3, got {args.grid_points}")
     if (args.grid_min is None) != (args.grid_max is None):
         raise ValueError("--grid-min and --grid-max must be given together")
     if args.grid_min is None:
@@ -719,8 +724,8 @@ def cmd_test(args) -> tuple[dict, Table | None]:
         lo_hi_pts = args.sweep_tau.split(",")
         if len(lo_hi_pts) != 3:
             raise ValueError("--sweep-tau expects lo,hi,points")
-        lo, hi = float(lo_hi_pts[0]), float(lo_hi_pts[1])
-        n_pts = int(lo_hi_pts[2])
+        lo, hi = _parse_float_list(",".join(lo_hi_pts[:2]), "--sweep-tau")
+        [n_pts] = _parse_int_list(lo_hi_pts[2], "--sweep-tau")
         if not (lo > 0 and hi > lo and n_pts >= 2):
             raise ValueError("--sweep-tau needs 0 < lo < hi and points >= 2")
         taus = np.geomspace(lo, hi, n_pts)
@@ -789,14 +794,14 @@ def cmd_predict(args) -> tuple[dict, Table | None]:
 
 
 def cmd_outliers(args) -> tuple[dict, Table | None]:
+    if bool(args.data) == bool(args.data_file):
+        raise ValueError("provide exactly one of --data, --data-file")
     if args.data:
         values = _parse_float_list(args.data, "--data")
         source: dict = {"data": values}
-    elif args.data_file:
+    else:
         values, column = _read_numeric_column(args.data_file, args.column)
         source = {"data_file": args.data_file, "column": column}
-    else:
-        raise ValueError("need --data or --data-file")
     report = detect_outliers(np.asarray(values, dtype=float), args.alpha)
     payload = {
         "command": "outliers",

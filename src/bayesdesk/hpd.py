@@ -101,7 +101,8 @@ def cauchy_normal_log_posterior(
     The model is x_i ~ Cauchy(mu, 1) with mu ~ Normal(0, prior_variance);
     the returned grid holds -mu^2/(2 v) - sum_i log(1 + (x_i - mu)^2).
     When grid is omitted it spans [min(data) - 10 s, max(data) + 10 s] with
-    s = sqrt(prior_variance), at `points` equally spaced values.
+    s = sqrt(prior_variance), at `points` equally spaced values; data too
+    spread for that span to be a float raise ValueError.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -112,7 +113,11 @@ def cauchy_normal_log_posterior(
         raise ValueError(f"prior_variance must be positive, got {prior_variance!r}")
     if grid is None:
         scale = math.sqrt(prior_variance)
-        xs = np.linspace(arr.min() - 10.0 * scale, arr.max() + 10.0 * scale, points)
+        lo, hi = float(arr.min()) - 10.0 * scale, float(arr.max()) + 10.0 * scale
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"default grid [{lo:g}, {hi:g}] for data in [{arr.min():g}, "
+                             f"{arr.max():g}] spans more than a float; give an explicit grid")
+        xs = np.linspace(lo, hi, points)
     else:
         xs = np.asarray(grid, dtype=float)
     dev = arr[np.newaxis, :] - xs[:, np.newaxis]

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,19 @@ class TestRegress:
         assert code == 2
         assert "zz" in err
 
+    def test_decisive_evidence_reports_infinite_bf(self, capsys, tmp_path):
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal(2000)
+        y = 3.0 * x + 0.05 * rng.standard_normal(2000)
+        path = tmp_path / "strong.csv"
+        np.savetxt(path, np.column_stack([y, x]), delimiter=",", header="y,x", comments="")
+        code, out, _ = run(capsys, "regress", "--data-file", str(path), "--response", "y",
+                           "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][1]
+        assert row["bf10"] == "inf"
+        assert math.isfinite(row["log10_bf10"]) and row["label"] == "****"
+
     def test_rank_deficiency_exits_3(self, capsys, tmp_path):
         path = tmp_path / "collinear.csv"
         with open(path, "w", newline="") as fh:
@@ -407,6 +421,26 @@ class TestOutputContract:
                            "--data-file", str(path), "--group", "a")
         assert code == 2
         assert "line 1" in err and "stratum" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (("outliers", "--data", "1,2,3", "--data-file", str(DATA / "sample10.csv")),
+         "--data-file"),
+        (("test", "--point-null", "--x", "1", "--sweep-tau", "1,10,abc"), "--sweep-tau"),
+        (("hpd", "--model", "beta-binomial", "--successes", "3", "--trials", "9",
+          "--grid-points", "-3"), "--grid-points"),
+        (("estimate", "--model", "beta-binomial", "--successes", "3", "--trials", "9",
+          "--grid-points", "2", "--grid-csv", "g.csv"), "--grid-points"),
+        (("hpd", "--model", "cauchy-normal", "--prior-var", "10", "--data", "1e308,-1e308"),
+         "-1e+308, 1e+308"),
+    ], ids=["outliers-two-sources", "sweep-tau", "grid-points-negative", "grid-points-2",
+            "cauchy-huge-data"])
+    def test_bad_input_exits_2_naming_it(self, capsys, tmp_path, argv, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert named in err
+        assert [str(w.message) for w in caught] == []
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "outliers", "--data-file", "/nonexistent/file.csv")

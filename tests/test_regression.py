@@ -18,11 +18,11 @@ from bayesdesk.regression import (
 from bayesdesk.testing import evidence_label
 
 
-def _make_data(seed, n=20, p=3, intercept=True):
+def _make_data(seed, n=20, p=3, intercept=True, beta_sd=1.5):
     rng = np.random.default_rng(seed)
     k = p - 1 if intercept else p
     X = rng.standard_normal((n, k))
-    beta = rng.normal(0.0, 1.5, size=k)
+    beta = rng.normal(0.0, beta_sd, size=k)
     y = X @ beta + rng.normal(0.0, 1.0, size=n)
     names = [f"x{i + 1}" for i in range(k)]
     if intercept:
@@ -127,9 +127,11 @@ class TestLogMarginal:
 
 class TestCoefficientBayesFactors:
     def test_reciprocal_identity(self):
-        # BF10 * BF01 = 1 by construction of the marginal ratio
-        for seed in range(10):
-            data = _make_data(seed)
+        # BF10 * BF01 = 1 by construction of the marginal ratio; the weak-effect
+        # 400x12 design checks the drop-one identity against explicit refits
+        designs = [_make_data(seed) for seed in range(10)]
+        designs.append(_make_data(40, n=400, p=12, beta_sd=0.08))
+        for data in designs:
             for j in range(data.p):
                 bf10, log10_bf10 = bf_coefficient_nullity(data, j)
                 lm_full = log_marginal_gprior(data, float(data.n))
@@ -205,6 +207,19 @@ class TestRegressionReport:
         rows = {r.name: r for r in regression_report(data).rows}
         assert rows["signal"].label == "****"
         assert rows["noise"].label == ""
+
+    def test_decisive_evidence_gives_infinite_bf(self):
+        rng = np.random.default_rng(34)
+        n = 400
+        x1 = rng.standard_normal(n)
+        y = 3.0 * x1 + 0.05 * rng.standard_normal(n)
+        data = RegressionData(X=np.column_stack([np.ones(n), x1]), y=y,
+                              column_names=("const", "signal"))
+        row = regression_report(data).rows[1]
+        assert row.bf10 == math.inf
+        assert math.isfinite(row.log10_bf10) and row.log10_bf10 > 308
+        assert row.label == "****"
+        assert bf_coefficient_nullity(data, 1) == (row.bf10, row.log10_bf10)
 
     def test_intercept_only_design_has_no_bf(self):
         data = RegressionData(X=np.ones((8, 1)), y=np.arange(8.0),
