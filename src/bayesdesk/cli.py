@@ -728,6 +728,8 @@ def cmd_test(args) -> tuple[dict, Table | None]:
         [n_pts] = _parse_int_list(lo_hi_pts[2], "--sweep-tau")
         if not (lo > 0 and hi > lo and n_pts >= 2):
             raise ValueError("--sweep-tau needs 0 < lo < hi and points >= 2")
+        if hi == math.inf:
+            raise ValueError("--sweep-tau: hi must be finite")
         taus = np.geomspace(lo, hi, n_pts)
         points = lindley_sweep(args.x - args.theta0, sigma, args.rho, taus)
         payload["sweep"] = [{"tau": p.tau, "bf10": p.bf10,

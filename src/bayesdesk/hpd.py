@@ -1,11 +1,12 @@
 """Highest-posterior-density regions from gridded or sampled posteriors.
 
 A 1-D posterior tabulated on a grid is normalized by trapezoid quadrature
-and thresholded: the HPD region at level 1-alpha is {x : density(x) >= k}
-with k chosen by bisection so the trapezoid mass above the threshold hits
-the target coverage. Interval endpoints are placed by linear interpolation
-between bracketing grid points. A sample-based variant keeps the highest
-log-density fraction of a posterior sample.
+and thresholded: the HPD region at level 1-alpha is {x : density(x) >= k},
+with k solved in closed form so that the trapezoid mass of the linearly
+interpolated density above k is the target coverage (Hyndman 1996).
+Interval endpoints are placed by linear interpolation between bracketing
+grid points. A sample-based variant keeps the highest log-density fraction
+of a posterior sample.
 """
 
 from __future__ import annotations
@@ -102,26 +103,30 @@ def cauchy_normal_log_posterior(
     the returned grid holds -mu^2/(2 v) - sum_i log(1 + (x_i - mu)^2).
     When grid is omitted it spans [min(data) - 10 s, max(data) + 10 s] with
     s = sqrt(prior_variance), at `points` equally spaced values; data too
-    spread for that span to be a float raise ValueError.
+    spread for those points to lie within s of each other raise ValueError.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("data must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(arr)):
         raise ValueError("data must be finite")
-    if not prior_variance > 0:
-        raise ValueError(f"prior_variance must be positive, got {prior_variance!r}")
+    if not 0.0 < prior_variance < math.inf:
+        raise ValueError(f"prior_variance must lie in (0, inf), got {prior_variance!r}")
     if grid is None:
         scale = math.sqrt(prior_variance)
         lo, hi = float(arr.min()) - 10.0 * scale, float(arr.max()) + 10.0 * scale
-        if not math.isfinite(hi - lo):
+        if not hi - lo <= (points - 1) * scale:  # also when the span overflows
             raise ValueError(f"default grid [{lo:g}, {hi:g}] for data in [{arr.min():g}, "
-                             f"{arr.max():g}] spans more than a float; give an explicit grid")
+                             f"{arr.max():g}] spaces points over the prior sd {scale:g} apart")
         xs = np.linspace(lo, hi, points)
     else:
         xs = np.asarray(grid, dtype=float)
-    dev = arr[np.newaxis, :] - xs[:, np.newaxis]
-    log_vals = -xs * xs / (2.0 * prior_variance) - np.sum(np.log1p(dev * dev), axis=1)
+    # log1p(d^2) is 2 log|d| to double precision long before d^2 overflows
+    dev = np.abs(arr[np.newaxis, :] - xs[:, np.newaxis])
+    log1p_sq = np.where(dev > 1e150, 2.0 * np.log(np.maximum(dev, 1e150)),
+                       np.log1p(np.square(np.minimum(dev, 1e150))))
+    with np.errstate(over="ignore"):  # an explicit grid past 1e154 has prior density 0
+        log_vals = -xs * xs / (2.0 * prior_variance) - np.sum(log1p_sq, axis=1)
     return GridDensity(xs, log_vals)
 
 
@@ -146,91 +151,68 @@ def normalize(g: GridDensity) -> GridDensity:
     return GridDensity(g.xs, g.log_vals - log_c, normalized=True, log_norm_const=log_c)
 
 
-def _coverage_above(dens: np.ndarray, xs: np.ndarray, k: float) -> float:
-    """Trapezoid mass of {x : linear-interpolated density >= k}."""
-    f0 = dens[:-1]
-    f1 = dens[1:]
-    dx = np.diff(xs)
-    a0 = f0 >= k
-    a1 = f1 >= k
-    mass = np.zeros_like(dx)
-    both = a0 & a1
-    mass[both] = 0.5 * (f0[both] + f1[both]) * dx[both]
-    falling = a0 & ~a1
-    if np.any(falling):
-        frac = (k - f0[falling]) / (f1[falling] - f0[falling])
-        mass[falling] = 0.5 * (f0[falling] + k) * frac * dx[falling]
-    rising = ~a0 & a1
-    if np.any(rising):
-        frac = (k - f0[rising]) / (f1[rising] - f0[rising])
-        mass[rising] = 0.5 * (k + f1[rising]) * (1.0 - frac) * dx[rising]
-    return float(np.sum(mass))
-
-
 def _intervals_at(dens: np.ndarray, xs: np.ndarray, k: float) -> tuple[tuple[float, float], ...]:
-    above = dens >= k
-    if not np.any(above):
-        return ()
-    out: list[tuple[float, float]] = []
-    n = dens.size
-    i = 0
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
-        if i == 0:
-            lo = float(xs[0])
-        else:
-            frac = (k - dens[i - 1]) / (dens[i] - dens[i - 1])
-            lo = float(xs[i - 1] + frac * (xs[i] - xs[i - 1]))
-        if j == n - 1:
-            hi = float(xs[-1])
-        else:
-            frac = (k - dens[j]) / (dens[j + 1] - dens[j])
-            hi = float(xs[j] + frac * (xs[j + 1] - xs[j]))
-        out.append((lo, hi))
-        i = j + 1
-    return tuple(out)
+    """Runs of grid points with density >= k, ended where density crosses k."""
+    steps = np.diff(np.concatenate(([0], (dens >= k).astype(np.int8), [0])))
+    first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
+    lo, hi = xs[first], xs[last]
+    inner_lo, inner_hi = first > 0, last < xs.size - 1
+
+    def crossing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return xs[a] + (k - dens[a]) / (dens[b] - dens[a]) * (xs[b] - xs[a])
+
+    lo[inner_lo] = crossing(first[inner_lo] - 1, first[inner_lo])
+    hi[inner_hi] = crossing(last[inner_hi], last[inner_hi] + 1)
+    return tuple(zip(lo.tolist(), hi.tolist()))
 
 
 def hpd_from_grid(g: GridDensity, alpha: float) -> HPDRegion:
-    """HPD region at level 1-alpha from a normalized grid.
+    """HPD region at level 1-alpha from a normalized grid, with k exact.
 
-    Coverage is monotone nonincreasing in the threshold k, so k is found
-    by bisection over (0, max density]; the loop stops when the achieved
-    coverage is within 1e-6 of the target or the k bracket is thinner than
-    1e-12.
+    Hyndman's (1996) sort-based construction on the linearly interpolated
+    density: a segment of width dx with end densities lo < hi adds its whole
+    trapezoid to the mass above k once k <= lo, and 0.5*dx*(hi^2 - k^2)/(hi - lo)
+    when lo < k < hi. Cumulative sums over the grid densities, sorted once,
+    give the coverage at each; the first to reach 1-alpha brackets k, and one
+    square root gives it. Where a plateau makes the coverage jump past
+    1-alpha, k takes the nearer side; CoverageError if that is over 1e-2 off.
     """
     if not g.normalized:
         raise ValueError("hpd_from_grid requires a normalized GridDensity")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    dens = g.densities()
-    xs = g.xs
-    target = 1.0 - alpha
-    lo, hi = 0.0, float(np.max(dens))
-    k = hi
-    cov = _coverage_above(dens, xs, k)
-    for _ in range(200):
-        k = 0.5 * (lo + hi)
-        cov = _coverage_above(dens, xs, k)
-        if abs(cov - target) <= 1e-6:
-            break
-        if cov > target:
-            lo = k
-        else:
-            hi = k
-        if hi - lo < 1e-12:
-            k = 0.5 * (lo + hi)
-            cov = _coverage_above(dens, xs, k)
-            break
-    if abs(cov - target) > 1e-2:
+    dens, target = g.densities(), 1.0 - alpha
+    neg_levels, rank = np.unique(-dens, return_inverse=True)  # rank 0: highest density
+    levels, count = -neg_levels, neg_levels.size
+    hi, lo = np.maximum(dens[:-1], dens[1:]), np.minimum(dens[:-1], dens[1:])
+    rank_hi, rank_lo = np.minimum(rank[:-1], rank[1:]), np.maximum(rank[:-1], rank[1:])
+    half_dx = 0.5 * np.diff(g.xs)
+    whole = half_dx * (lo + hi)
+    with np.errstate(over="ignore"):  # a gap too small to give a finite c is flat
+        c = np.nan_to_num(half_dx / np.where(hi > lo, hi - lo, np.inf), posinf=0.0)
+    # coverage at each level; a segment is partial only at levels strictly inside
+    # it, so a near-flat one (huge c) never enters the running sums to round them
+    inside = rank_lo - rank_hi > 1
+    at = np.concatenate((rank_hi[inside] + 1, rank_lo[inside]))
+    signed_c = np.concatenate((c[inside], -c[inside]))
+    cov = (np.cumsum(np.bincount(rank_lo, whole, count)
+                     + np.bincount(at, signed_c * np.tile(hi[inside] ** 2, 2), count))
+           - np.cumsum(np.bincount(at, signed_c, count)) * levels * levels)
+    j = min(int(np.searchsorted(cov, target)), count - 1)
+    k, coverage = float(levels[j]), float(cov[j])
+    spans = (rank_hi < j) & (rank_lo >= j)  # the segments crossing (levels[j], levels[j-1])
+    mass, c_sum = float(np.sum(whole[rank_lo < j])), float(np.sum(c[spans]))
+    if c_sum > 0.0:  # k solves the quadratic there; else level j is the top or a plateau's foot
+        hi_sq = float(np.dot(c[spans], hi[spans] ** 2)) / c_sum
+        k_sq = hi_sq - (target - mass) / c_sum
+        k_above = math.sqrt(k_sq) if k_sq > k * k else math.nextafter(k, math.inf)
+        cov_above = mass + c_sum * (hi_sq - k_above * k_above)
+        if abs(cov_above - target) <= abs(coverage - target):
+            k, coverage = k_above, cov_above
+    if abs(coverage - target) > 1e-2:
         raise CoverageError(
-            f"coverage {cov:.6f} cannot reach target {target:.6f} on this grid")
-    return HPDRegion(intervals=_intervals_at(dens, xs, k), k_alpha=k, coverage=cov)
+            f"coverage {coverage:.6f} cannot reach target {target:.6f} on this grid")
+    return HPDRegion(intervals=_intervals_at(dens, g.xs, k), k_alpha=k, coverage=coverage)
 
 
 def hpd_from_sample(

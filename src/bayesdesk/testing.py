@@ -9,7 +9,7 @@ grading on the log10 Bayes-factor scale, and posterior model probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -137,6 +137,14 @@ def _sigmoid_of_neg(z: float) -> float:
     return 1.0 / (1.0 + math.exp(z))
 
 
+def _bf_from_log(log_bf: float) -> float:
+    # decisive evidence: a Bayes factor past float range is inf, its log finite
+    try:
+        return math.exp(log_bf)
+    except OverflowError:
+        return math.inf
+
+
 def decide_zero_one(posterior_null_prob: float) -> Decision:
     """Accept the null iff its posterior probability strictly exceeds 1/2.
 
@@ -169,10 +177,10 @@ def bf10_normal_point_null(x: float, sigma: float, tau: float) -> float:
     The observation is x ~ Normal(theta, sigma^2); the null puts theta at 0
     and the alternative spreads it as Normal(0, tau^2). sigma and tau are
     standard deviations. tau = 0 collapses the slab onto the null and gives
-    exactly 1.
+    exactly 1. A Bayes factor past float range is inf.
     """
     _check_sigma_tau(sigma, tau)
-    return math.exp(_log_bf10_normal(float(x), float(sigma), float(tau)))
+    return _bf_from_log(_log_bf10_normal(float(x), float(sigma), float(tau)))
 
 
 def posterior_null_prob_normal(x: float, sigma: float, tau: float, rho: float) -> float:
@@ -304,8 +312,12 @@ def bf_by_quadrature(m0: MarginalSpec, m1: MarginalSpec, x: float) -> float:
 
     Both marginal specs carry their own likelihood and prior; point-mass
     priors skip quadrature. Improper priors raise rather than silently
-    picking a normalization.
+    picking a normalization. A Bayes factor past float range is inf.
     """
+    return _bf_from_log(_log_bf_by_quadrature(m0, m1, x))
+
+
+def _log_bf_by_quadrature(m0: MarginalSpec, m1: MarginalSpec, x: float) -> float:
     lm0 = _log_marginal(m0, float(x))
     lm1 = _log_marginal(m1, float(x))
     if math.isnan(lm0) or math.isnan(lm1) or math.inf in (lm0, lm1):
@@ -313,9 +325,7 @@ def bf_by_quadrature(m0: MarginalSpec, m1: MarginalSpec, x: float) -> float:
             f"marginal likelihoods must be finite, got log m0={lm0!r}, log m1={lm1!r}")
     if lm0 == -math.inf:
         raise NumericalError("null marginal is zero at x; the Bayes factor diverges")
-    if lm1 == -math.inf:
-        return 0.0
-    return math.exp(lm1 - lm0)
+    return lm1 - lm0
 
 
 def evidence_category(log10_bf: float) -> str:
@@ -346,21 +356,18 @@ def result_from_bf(bf10: float, rho: float) -> TestResult:
     """Assemble the full test outcome from a Bayes factor and prior weight."""
     if not (isinstance(bf10, (int, float)) and bf10 >= 0) or math.isnan(bf10):
         raise ValueError(f"bf10 must be nonnegative, got {bf10!r}")
+    result = _result_from_log_bf(math.log(bf10) if bf10 > 0 else -math.inf, rho)
+    return replace(result, bf10=float(bf10))
+
+
+def _result_from_log_bf(log_bf: float, rho: float) -> TestResult:
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly in (0, 1), got {rho!r}")
-    bf10 = float(bf10)
-    if bf10 == 0.0:
-        post = 1.0
-        log10_bf = -math.inf
-    elif math.isinf(bf10):
-        post = 0.0
-        log10_bf = math.inf
-    else:
-        log10_bf = math.log10(bf10)
-        post = _sigmoid_of_neg(math.log((1.0 - rho) / rho) + math.log(bf10))
+    log10_bf = log_bf / math.log(10.0)
+    post = _sigmoid_of_neg(math.log((1.0 - rho) / rho) + log_bf)
     decision, tie = decide_zero_one(post)
     return TestResult(
-        bf10=bf10,
+        bf10=_bf_from_log(log_bf),
         log10_bf10=log10_bf,
         posterior_null_prob=post,
         rho=rho,
@@ -396,19 +403,21 @@ def point_null_test(
     if method == "closed_form" and not closed_ok:
         raise ValueError("closed form needs a normal slab centered at theta0")
     if closed_ok and method != "quadrature":
-        bf10 = bf10_normal_point_null(x - spec.theta0, sigma, math.sqrt(spec.slab.variance))
+        tau = math.sqrt(spec.slab.variance)
+        _check_sigma_tau(sigma, tau)
+        log_bf = _log_bf10_normal(float(x - spec.theta0), float(sigma), tau)
     else:
         s2 = float(sigma) ** 2
 
         def log_lik(theta: float, obs: float) -> float:
             return -_LOG_SQRT_2PI - 0.5 * math.log(s2) - (obs - theta) ** 2 / (2.0 * s2)
 
-        bf10 = bf_by_quadrature(
+        log_bf = _log_bf_by_quadrature(
             MarginalSpec(log_lik, PointMass(spec.theta0)),
             MarginalSpec(log_lik, spec.slab),
             x,
         )
-    return result_from_bf(bf10, spec.rho)
+    return _result_from_log_bf(log_bf, spec.rho)
 
 
 def model_posterior_probs(

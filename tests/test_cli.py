@@ -189,6 +189,15 @@ class TestTest:
         assert taus[0] == pytest.approx(1e-4) and taus[-1] == pytest.approx(10.0)
         assert all(math.isfinite(float(v)) for r in rows for v in r)
 
+    @pytest.mark.parametrize("method", [(), ("--quadrature",)], ids=["closed-form", "quadrature"])
+    def test_decisive_evidence_reports_infinite_bf(self, capsys, method):
+        code, out, _ = run(capsys, "test", "--point-null", "--x", "60", "--tau", "10", *method,
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bf10"] == "inf"
+        assert payload["log10_bf10"] == pytest.approx(772.988005081280, rel=1e-12)
+
     def test_flat_slab_exits_3(self, capsys):
         code, _, err = run(capsys, "test", "--point-null", "--x", "1.96",
                            "--slab", "flat")
@@ -432,8 +441,13 @@ class TestOutputContract:
           "--grid-points", "2", "--grid-csv", "g.csv"), "--grid-points"),
         (("hpd", "--model", "cauchy-normal", "--prior-var", "10", "--data", "1e308,-1e308"),
          "-1e+308, 1e+308"),
+        (("hpd", "--model", "cauchy-normal", "--prior-var", "10", "--data", "1e200,-1e200"),
+         "-1e+200, 1e+200"),
+        (("test", "--point-null", "--x", "1", "--sweep-tau", "1,inf,5"), "--sweep-tau"),
+        (("hpd", "--model", "cauchy-normal", "--prior-var", "inf", "--data", "1,2"),
+         "prior_variance"),
     ], ids=["outliers-two-sources", "sweep-tau", "grid-points-negative", "grid-points-2",
-            "cauchy-huge-data"])
+            "cauchy-huge-data", "cauchy-huge-spread", "sweep-tau-infinite", "prior-var-inf"])
     def test_bad_input_exits_2_naming_it(self, capsys, tmp_path, argv, named):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -441,6 +455,20 @@ class TestOutputContract:
         assert code == 2
         assert named in err
         assert [str(w.message) for w in caught] == []
+
+    def test_huge_data_on_explicit_grid_is_finite(self, capsys):
+        # log1p((x - mu)^2) is 2 log(1e308) per datum, finite though (x - mu)^2 is not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "hpd", "--model", "cauchy-normal", "--prior-var", "10",
+                               "--data", "1e308,-1e308", "--grid-min", "-1", "--grid-max", "1",
+                               "--format", "json")
+        assert code == 0 and caught == []
+        payload = json.loads(out)
+        prior_mass = math.sqrt(20.0 * math.pi) * math.erf(1.0 / math.sqrt(20.0))
+        assert payload["log_norm_const"] == pytest.approx(
+            math.log(prior_mass) - 4.0 * math.log(1e308), rel=1e-12)
+        assert payload["coverage"] == pytest.approx(0.95, abs=1e-10)
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "outliers", "--data-file", "/nonexistent/file.csv")

@@ -27,6 +27,41 @@ def _trapezoid_mass(xs, dens):
     return float(np.sum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs)))
 
 
+def _mass_above(xs, dens, k):
+    """Trapezoid mass of the linearly interpolated density where it is >= k."""
+    pieces = []
+    for x0, x1, f0, f1 in zip(xs[:-1], xs[1:], dens[:-1], dens[1:]):
+        lo, hi = min(f0, f1), max(f0, f1)
+        if k <= lo:
+            pieces.append(0.5 * (f0 + f1) * (x1 - x0))
+        elif k < hi:  # the part of the segment above k is a trapezoid of width t * dx
+            pieces.append(0.5 * (hi + k) * (hi - k) / (hi - lo) * (x1 - x0))
+    return math.fsum(pieces)
+
+
+def _log_of(dens):
+    with np.errstate(divide="ignore"):
+        return np.log(dens)
+
+
+# symmetric grids on integer ticks, so the two flanks tie exactly
+_TICKS = np.arange(-100, 101) / 100.0
+
+EXACT_COVERAGE_GRIDS = {
+    "normal": lambda: _normal_grid(points=8001),
+    "bimodal": lambda: GridDensity(np.linspace(-12, 12, 6001), _log_of(
+        0.5 * st.norm.pdf(np.linspace(-12, 12, 6001), -5, 0.8)
+        + 0.5 * st.norm.pdf(np.linspace(-12, 12, 6001), 5, 0.8))),
+    "scaled-normal": lambda: GridDensity(np.linspace(-8, 8, 4001) * 17.5,
+                                         st.norm.logpdf(np.linspace(-8, 8, 4001)) - math.log(17.5)),
+    "cauchy-normal": lambda: cauchy_normal_log_posterior([-4.3, 3.2], 10.0),
+    "beta-40001": lambda: GridDensity(np.linspace(0, 1, 40001),
+                                      st.beta.logpdf(np.linspace(0, 1, 40001), 4, 6)),
+    "triangle": lambda: GridDensity(_TICKS, _log_of(1.0 - np.abs(_TICKS))),
+    "flat-top": lambda: GridDensity(_TICKS, _log_of(np.minimum(1.0, 2.0 * (1.0 - np.abs(_TICKS))))),
+}
+
+
 class TestGridDensity:
     def test_construction_and_densities(self):
         g = _normal_grid()
@@ -169,6 +204,29 @@ class TestHpdFromGrid:
             assert region.total_length() <= best + dx  # within one grid cell
 
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3])
+    @pytest.mark.parametrize("grid", list(EXACT_COVERAGE_GRIDS.values()),
+                             ids=list(EXACT_COVERAGE_GRIDS))
+    def test_coverage_is_exact(self, grid, alpha):
+        g = normalize(grid())
+        region = hpd_from_grid(g, alpha)
+        assert abs(region.coverage - (1.0 - alpha)) <= 1e-10
+        assert region.coverage == pytest.approx(
+            _mass_above(g.xs, g.densities(), region.k_alpha), abs=1e-13)
+        dens_at_ends = np.interp([e for iv in region.intervals for e in iv], g.xs, g.densities())
+        assert dens_at_ends == pytest.approx(region.k_alpha, rel=1e-9)
+
+    def test_triangle_threshold_in_closed_form(self):
+        # density 1 - |x| is linear between ticks, so the grid answer is exact:
+        # the mass above k is 1 - k^2, so k = sqrt(alpha) and the ends are +-(1 - k)
+        g = normalize(EXACT_COVERAGE_GRIDS["triangle"]())
+        for alpha in (0.05, 0.5):
+            region = hpd_from_grid(g, alpha)
+            k = math.sqrt(alpha)
+            assert region.k_alpha == pytest.approx(k, rel=1e-13)
+            assert region.intervals == (pytest.approx((k - 1.0, 1.0 - k), rel=1e-13),)
+
+
 class TestHpdFromSample:
     def test_retains_top_density_fraction(self):
         rng = np.random.default_rng(41)
@@ -207,3 +265,9 @@ class TestCoverageFailure:
         except CoverageError:
             return
         assert abs(region.coverage - 0.95) <= 1e-2
+
+    def test_uniform_grid_raises(self):
+        # every threshold up to the plateau height keeps the whole grid
+        g = normalize(GridDensity(np.linspace(0.0, 1.0, 11), np.zeros(11)))
+        with pytest.raises(CoverageError):
+            hpd_from_grid(g, 0.05)

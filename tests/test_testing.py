@@ -291,6 +291,17 @@ class TestPointNullTest:
         with pytest.raises(ValueError):
             PointNullSpec(theta0=0.0, rho=0.5, slab=PointMass(0.0))
 
+    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+    def test_decisive_evidence_gives_infinite_bf(self, method):
+        # log BF10 = 0.5 log(1/101) + 3600 * 100 / 202 = 1779.9, past log(max float)
+        spec = PointNullSpec(theta0=0.0, rho=0.5, slab=Normal(0.0, 100.0))
+        r = point_null_test(spec, 60.0, 1.0, method=method)
+        expected = (0.5 * math.log(1.0 / 101.0) + 3600.0 * 100.0 / 202.0) / math.log(10.0)
+        assert r.bf10 == math.inf
+        assert r.log10_bf10 == pytest.approx(expected, rel=1e-12)
+        assert r.posterior_null_prob == 0.0 and r.evidence == "****"
+        assert bf10_normal_point_null(60.0, 1.0, 10.0) == math.inf
+
 
 class TestModelPosteriorProbs:
     def test_two_model_case_matches_formula(self):
