@@ -403,9 +403,8 @@ def point_null_test(
     if method == "closed_form" and not closed_ok:
         raise ValueError("closed form needs a normal slab centered at theta0")
     if closed_ok and method != "quadrature":
-        tau = math.sqrt(spec.slab.variance)
-        _check_sigma_tau(sigma, tau)
-        log_bf = _log_bf10_normal(float(x - spec.theta0), float(sigma), tau)
+        log_bf = _log_bf10_normal(float(x - spec.theta0), float(sigma),
+                                  math.sqrt(spec.slab.variance))
     else:
         s2 = float(sigma) ** 2
 
