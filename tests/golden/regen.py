@@ -2,7 +2,7 @@
 
 Each non-comment line of cases.txt is one argv for `bayesdesk`, optionally
 preceded by NAME=value words that set environment variables for that case.
-A case runs in-process through `bayesdesk.cli.main` in a scratch directory
+A case runs in-process through `bayesdesk.cli.main` in a temporary directory
 that holds a copy of tests/data as `data/`, so every path a report prints is
 relative and the digests do not depend on where the checkout lives.
 
