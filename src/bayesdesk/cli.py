@@ -485,7 +485,13 @@ def _grid_for(dist, args) -> np.ndarray:
 
 def _log_density_grid(dist, args) -> GridDensity:
     xs = _grid_for(dist, args)
-    return GridDensity(xs, np.array([log_density(dist, x) for x in xs]))
+    log_vals = np.array([log_density(dist, x) for x in xs])
+    unbounded = np.flatnonzero(log_vals == math.inf)
+    if unbounded.size:
+        raise NumericalError(
+            f"the density is infinite at x = {xs[unbounded[0]]:g} on the grid; "
+            "put --grid-min/--grid-max strictly inside the support")
+    return GridDensity(xs, log_vals)
 
 
 def _dist_payload(dist) -> dict:
@@ -668,9 +674,11 @@ def _resolve_sd(args, name: str, default: float | None) -> float | None:
     squared = getattr(args, f"{name}_sq")
     if plain is not None and squared is not None:
         raise ValueError(f"give --{name} or --{name}-sq, not both")
+    for flag, value in ((f"--{name}", plain), (f"--{name}-sq", squared)):
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{flag} must be {'finite' if value == math.inf else 'positive'}, "
+                             f"got {value!r}")
     if squared is not None:
-        if not squared > 0:
-            raise ValueError(f"--{name}-sq must be positive, got {squared!r}")
         return math.sqrt(squared)
     if plain is not None:
         return plain
@@ -680,6 +688,8 @@ def _resolve_sd(args, name: str, default: float | None) -> float | None:
 def cmd_test(args) -> tuple[dict, Table | None]:
     mode = ("one-sided" if args.one_sided
             else "point-null-improper" if args.point_null_improper else "point-null")
+    if not math.isfinite(args.x):
+        raise ValueError(f"--x must be finite, got {args.x!r}")
     payload: dict = {"command": "test", "mode": mode, "x": args.x}
     if args.one_sided:
         payload["posterior_prob_theta_le_0"] = one_sided_posterior_prob(args.x)
@@ -965,7 +975,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

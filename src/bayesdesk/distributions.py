@@ -4,17 +4,24 @@ Eight small frozen dataclasses stand in for the distribution families the
 engine needs. All scalar math routes through the hand-rolled special
 functions in :mod:`bayesdesk.special`; sampling uses numpy's seeded PCG64
 generator so streams are bit-reproducible.
+
+Continuous quantiles invert the CDF with Brent's method (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4), in a line-for-line
+port of scipy's ``brentq.c``: the same bracket bookkeeping, step test and
+minimum step, so on IEEE doubles it takes the same iterates as
+``scipy.optimize.brentq`` and returns the same root, without importing scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .errors import NumericalError
 from .special import (
     log_beta,
     log_gamma,
@@ -309,6 +316,66 @@ def cdf(d: Distribution, x: float) -> float:
     raise TypeError(f"not a distribution: {d!r}")
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = 1e-12,
+            rtol: float = 4.0 * sys.float_info.epsilon, maxiter: int = 200) -> float:
+    """Root of f in [xa, xb] by Brent's method, as scipy's brentq.c computes it.
+
+    xblk is the bracket end opposite xcur, spre and scur the previous and
+    current steps. An inverse quadratic (or secant) step is taken only when it
+    is less than half the step before last and stays inside the bracket;
+    otherwise the step bisects, and it is never shorter than delta.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"root-finder: function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError(f"root-finder: no sign change on [{xa!r}, {xb!r}]")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan  # C gets inf or NaN here; either fails the test below
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise NumericalError(f"root-finder did not converge in {maxiter} iterations near x={xcur!r}")
+
+
 def _discrete_quantile(d: Distribution, p: float) -> float:
     # smallest integer k with cdf(k) >= p
     if isinstance(d, Binomial):
@@ -335,7 +402,8 @@ def quantile(d: Distribution, p: float) -> float:
     """Inverse CDF at p in (0, 1), by bracketed root-finding.
 
     Discrete kinds return the smallest support point whose CDF reaches p;
-    the Cauchy inverse is closed form.
+    the Cauchy inverse is closed form. A bracket search, root-finder or CDF
+    kernel that fails raises NumericalError.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -354,14 +422,14 @@ def quantile(d: Distribution, p: float) -> float:
                 break
             a *= 0.5
         else:
-            raise ArithmeticError("quantile bracket search failed near 0")
+            raise NumericalError("quantile bracket search failed near 0")
         b = max(1.0, 2.0 * a)
         for _ in range(2000):
             if cdf(d, b) > p:
                 break
             b *= 2.0
         else:
-            raise ArithmeticError("quantile bracket search failed in upper tail")
+            raise NumericalError("quantile bracket search failed in upper tail")
     else:
         center = d.mean if isinstance(d, Normal) else d.location
         width = math.sqrt(d.variance) if isinstance(d, Normal) else d.scale
@@ -371,14 +439,14 @@ def quantile(d: Distribution, p: float) -> float:
                 break
             a = center - 2.0 * (center - a)
         else:
-            raise ArithmeticError("quantile bracket search failed in lower tail")
+            raise NumericalError("quantile bracket search failed in lower tail")
         for _ in range(2000):
             if cdf(d, b) > p:
                 break
             b = center + 2.0 * (b - center)
         else:
-            raise ArithmeticError("quantile bracket search failed in upper tail")
-    return float(brentq(lambda t: cdf(d, t) - p, a, b, xtol=1e-12, maxiter=200))
+            raise NumericalError("quantile bracket search failed in upper tail")
+    return _brentq(lambda t: cdf(d, t) - p, a, b)
 
 
 def sample(d: Distribution, count: int, seed: int) -> np.ndarray:

@@ -8,6 +8,9 @@ design against the design with one column removed. Dropping column j lowers
 ||Py||^2 by beta_hat_j^2 / [(X'X)^-1]_jj, so one QR of the full design gives
 log BF_j = (n/2) log1p(s beta_hat_j^2 / ([(X'X)^-1]_jj Q)) - log1p(g)/2, with
 Q = y'y - s ||Py||^2, s = g/(1+g). A BF beyond float range is inf, its log finite.
+beta_hat solves R beta = Q'y by back-substitution over the rows of R, and
+[(X'X)^-1]_jj is the squared norm of row j of R^-1; both use numpy only and
+give the same bits as LAPACK's triangular solve.
 
 The closed form was validated against an independent numerical-integration
 oracle (explicit multivariate-normal marginal density integrated over
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ImproperPosteriorError, RankDeficiencyError
 from .special import log_gamma
@@ -148,6 +150,14 @@ def _residual_quad_form(y: np.ndarray, proj: np.ndarray, shrink: float) -> float
     return quad_form
 
 
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r x = b for upper-triangular r, last row first."""
+    x = np.empty(r.shape[0])
+    for i in range(r.shape[0] - 1, -1, -1):
+        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x
+
+
 def log_marginal_gprior(data: RegressionData, g: float) -> float:
     """Log marginal likelihood of y under the g-prior, sigma integrated out.
 
@@ -186,15 +196,16 @@ def regression_report(data: RegressionData, g: float | None = None) -> GPriorPos
     g = _check_g(g)
     q, r = np.linalg.qr(data.X)
     proj = q.T @ data.y
-    beta_hat = solve_triangular(r, proj, lower=False)
+    beta_hat = _back_substitute(r, proj)
     shrink = g / (1.0 + g)
     beta_post = shrink * beta_hat
     if data.p == 1:
         rows = [CoefficientRow(data.column_names[0], float(beta_post[0]), None, None, "")]
     else:
-        # [(X'X)^-1]_jj is the squared norm of row j of R^-1
+        # [(X'X)^-1]_jj is the squared norm of row j of R^-1; in Fortran order
+        # each norm adds its terms left to right instead of pairwise
         quad_form = _residual_quad_form(data.y, proj, shrink)
-        inv_diag = np.sum(solve_triangular(r, np.eye(data.p), lower=False) ** 2, axis=1)
+        inv_diag = np.sum(np.asfortranarray(np.linalg.inv(r)) ** 2, axis=1)
         log_bf = ((data.n / 2.0) * np.log1p(shrink * beta_hat ** 2 / (inv_diag * quad_form))
                   - 0.5 * math.log1p(g))
         with np.errstate(over="ignore"):  # decisive evidence: bf10 is inf, its log finite

@@ -5,12 +5,15 @@ series/continued-fraction regularized incomplete gamma, a modified-Lentz
 continued fraction for the regularized incomplete beta, and the error
 function pair built on the incomplete gamma. Downstream CDFs (Gamma, Beta,
 Binomial, Poisson, Student t, the normal CDF) reduce to these three kernels.
-All functions take and return Python floats.
+All functions take and return Python floats. A continued fraction or series
+that does not converge raises NumericalError.
 """
 
 from __future__ import annotations
 
 import math
+
+from .errors import NumericalError
 
 __all__ = [
     "log_gamma",
@@ -87,7 +90,7 @@ def _gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             return total * math.exp(-x + a * math.log(x) - log_gamma(a))
-    raise ArithmeticError(f"incomplete gamma series failed to converge for a={a}, x={x}")
+    raise NumericalError(f"incomplete gamma series failed to converge for a={a}, x={x}")
 
 
 def _gamma_cont_fraction(a: float, x: float) -> float:
@@ -110,7 +113,7 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + a * math.log(x) - log_gamma(a))
-    raise ArithmeticError(f"incomplete gamma fraction failed to converge for a={a}, x={x}")
+    raise NumericalError(f"incomplete gamma fraction failed to converge for a={a}, x={x}")
 
 
 def reg_inc_gamma_lower(a: float, x: float) -> float:
@@ -184,7 +187,7 @@ def _beta_cont_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
-    raise ArithmeticError(f"incomplete beta fraction failed to converge for a={a}, b={b}, x={x}")
+    raise NumericalError(f"incomplete beta fraction failed to converge for a={a}, b={b}, x={x}")
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -446,8 +448,19 @@ class TestOutputContract:
         (("test", "--point-null", "--x", "1", "--sweep-tau", "1,inf,5"), "--sweep-tau"),
         (("hpd", "--model", "cauchy-normal", "--prior-var", "inf", "--data", "1,2"),
          "prior_variance"),
+        (("test", "--point-null", "--x", "1.96", "--tau", "0"), "--tau must be positive"),
+        (("test", "--point-null", "--x", "1.96", "--tau", "-1"), "--tau must be positive"),
+        (("test", "--point-null", "--x", "1.96", "--tau", "inf"), "--tau must be finite"),
+        (("test", "--point-null", "--x", "1.96", "--sigma", "0", "--tau", "1"),
+         "--sigma must be positive"),
+        (("test", "--point-null", "--x", "1.96", "--sigma-sq", "inf", "--tau", "1"),
+         "--sigma-sq must be finite"),
+        (("test", "--one-sided", "--x", "inf"), "--x must be finite"),
+        (("test", "--point-null", "--x", "nan", "--tau", "1"), "--x must be finite"),
     ], ids=["outliers-two-sources", "sweep-tau", "grid-points-negative", "grid-points-2",
-            "cauchy-huge-data", "cauchy-huge-spread", "sweep-tau-infinite", "prior-var-inf"])
+            "cauchy-huge-data", "cauchy-huge-spread", "sweep-tau-infinite", "prior-var-inf",
+            "tau-zero", "tau-negative", "tau-inf", "sigma-zero", "sigma-sq-inf",
+            "one-sided-x-inf", "x-nan"])
     def test_bad_input_exits_2_naming_it(self, capsys, tmp_path, argv, named):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -455,6 +468,26 @@ class TestOutputContract:
         assert code == 2
         assert named in err
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("argv", [
+        ("hpd", "--model", "beta-binomial", "--successes", "0", "--trials", "0",
+         "--prior-a", "0.5", "--prior-b", "0.5"),
+        ("hpd", "--model", "gamma-poisson", "--counts", "0", "--exposures", "1",
+         "--prior-shape", "0.5", "--prior-rate", "1"),
+    ], ids=["beta-u-shaped", "gamma-shape-below-1"])
+    def test_unbounded_density_at_grid_end_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "infinite at x = 0" in err and "--grid-min/--grid-max" in err
+
+    def test_overflowing_x_by_quadrature_exits_3(self, capsys):
+        # (x - theta)^2 passes float range; the null marginal underflows to zero
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "test", "--point-null", "--x", "1e300", "--tau", "2",
+                                 "--quadrature")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical error:") and caught == []
 
     def test_huge_data_on_explicit_grid_is_finite(self, capsys):
         # log1p((x - mu)^2) is 2 log(1e308) per datum, finite though (x - mu)^2 is not
@@ -473,3 +506,36 @@ class TestOutputContract:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "outliers", "--data-file", "/nonexistent/file.csv")
         assert code == 2
+
+
+class TestImportFootprint:
+    def test_no_scipy_without_quadrature(self, tmp_path):
+        # scipy is loaded only by the quadrature route; every other subcommand runs on numpy
+        script = f"""
+import contextlib, io, sys
+import bayesdesk
+from bayesdesk import cli
+data = {str(DATA)!r}
+runs = [
+    ["estimate", "--model", "beta-binomial", "--successes", "3", "--trials", "9"],
+    ["estimate", "--model", "normal-known-var", "--data-file", data + "/sample10.csv",
+     "--column", "x"],
+    ["hpd", "--model", "beta-binomial", "--successes", "3", "--trials", "9"],
+    ["hpd", "--model", "normal-jeffreys", "--stats", "n=10,mean=0,ssd=1", "--sample", "200"],
+    ["test", "--point-null", "--x", "1.96", "--tau", "3"],
+    ["test", "--point-null", "--x", "1.96", "--sweep-tau", "0.1,100,5"],
+    ["regress", "--data-file", data + "/regress20.csv", "--response", "y"],
+    ["predict", "--stats", "n=10,mean=0,ssd=1"],
+    ["outliers", "--data-file", data + "/planted_outlier.csv"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize as so
 import scipy.stats as st
 
 from bayesdesk.distributions import (
@@ -23,9 +24,11 @@ from bayesdesk.distributions import (
     sample,
     support,
 )
+from bayesdesk.distributions import _brentq
 from bayesdesk.distributions import mean as dist_mean
 from bayesdesk.distributions import mode as dist_mode
 from bayesdesk.distributions import variance as dist_variance
+from bayesdesk.errors import NumericalError
 
 
 def _scipy_of(d):
@@ -158,6 +161,70 @@ class TestQuantile:
         for p in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 quantile(Normal(0.0, 1.0), p)
+
+
+class TestBrentq:
+    @staticmethod
+    def _cdf_root_problems():
+        # seeded CDF inversions on brackets of random width around the root
+        rng = np.random.default_rng(41)
+        for i in range(300):
+            a, b = (float(v) for v in 10.0 ** rng.uniform(-1.0, 2.5, 2))
+            loc = float(rng.normal(0.0, 50.0))
+            d = (Beta(a, b), Gamma(a, b), Normal(loc, a), StudentT(a, loc, b),
+                 InverseGamma(a, b))[i % 5]
+            for p in (1e-6, 1e-3, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-6):
+                q = float(_scipy_of(d).ppf(p))
+                lo, hi = support(d)
+                left = max(q - abs(q) * rng.uniform(0.01, 3.0) - rng.uniform(0.0, 1.0), lo)
+                right = min(q + abs(q) * rng.uniform(0.01, 3.0) + rng.uniform(0.0, 1.0), hi)
+                f = lambda t, d=d, p=p: cdf(d, t) - p  # noqa: E731
+                if f(left) < 0.0 < f(right):
+                    yield f, left, right
+
+    def test_matches_scipy_brentq_exactly(self):
+        problems = list(self._cdf_root_problems())
+        assert len(problems) > 1500
+        for f, a, b in problems:
+            assert _brentq(f, a, b) == so.brentq(f, a, b, xtol=1e-12, maxiter=200)
+
+    @pytest.mark.parametrize("d, p", [
+        (InverseGamma(0.035, 8.0), 1.0 - 1e-6),
+        (StudentT(0.036, -108.0, 192.6), 1e-6),
+        (StudentT(0.036, -108.0, 192.6), 1.0 - 1e-6),
+        (Gamma(136.0, 161.0), 0.025),
+        (Beta(0.5, 0.5), 0.975),
+    ])
+    def test_matches_scipy_brentq_on_quantile_brackets(self, monkeypatch, d, p):
+        # the heavy tails make the extrapolation step divide by zero, which C
+        # turns into inf or NaN and rejects; the port must reject it too
+        seen = []
+
+        def recording(f, a, b):
+            seen.append((f, a, b))
+            return _brentq(f, a, b)
+
+        monkeypatch.setattr("bayesdesk.distributions._brentq", recording)
+        root = quantile(d, p)
+        [(f, a, b)] = seen
+        assert root == so.brentq(f, a, b, xtol=1e-12, maxiter=200)
+
+    def test_failures_are_numerical_errors(self):
+        with pytest.raises(NumericalError, match="no sign change"):
+            _brentq(lambda t: t * t + 1.0, -1.0, 1.0)
+        with pytest.raises(NumericalError, match="NaN"):
+            _brentq(lambda t: math.nan if t > 0.25 else t, -1.0, 1.0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            _brentq(lambda t: t ** 3 - 0.3, 0.0, 1.0, maxiter=3)
+
+    @pytest.mark.parametrize("call", [
+        lambda: quantile(Beta(1e9, 1e9), 0.5),
+        lambda: cdf(Beta(1e9, 1e9), 0.5),
+        lambda: quantile(Gamma(1e9, 1.0), 0.5),
+    ], ids=["beta-quantile", "beta-cdf", "gamma-quantile"])
+    def test_kernel_failure_is_numerical_error(self, call):
+        with pytest.raises(NumericalError, match="failed to converge"):
+            call()
 
 
 class TestSample:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
+import scipy.linalg as sl
 import scipy.stats as st
 
 from bayesdesk.errors import RankDeficiencyError
@@ -220,6 +221,25 @@ class TestRegressionReport:
         assert math.isfinite(row.log10_bf10) and row.log10_bf10 > 308
         assert row.label == "****"
         assert bf_coefficient_nullity(data, 1) == (row.bf10, row.log10_bf10)
+
+    @pytest.mark.parametrize("n, p", [(2000, 20), (5000, 60)])
+    def test_matches_lapack_triangular_solve(self, n, p):
+        data = _make_data(35 + p, n=n, p=p, beta_sd=0.05)
+        summary = regression_report(data)
+        q, r = np.linalg.qr(data.X)
+        proj = q.T @ data.y
+        beta_hat = sl.solve_triangular(r, proj, lower=False)
+        inv_diag = np.sum(sl.solve_triangular(r, np.eye(p), lower=False) ** 2, axis=1)
+        s = n / (n + 1.0)
+        quad_form = data.y @ data.y - s * (proj @ proj)
+        log10_bf = ((n / 2.0) * np.log1p(s * beta_hat ** 2 / (inv_diag * quad_form))
+                    - 0.5 * math.log1p(n)) / math.log(10.0)
+        assert np.allclose(summary.beta_hat, beta_hat, rtol=1e-13, atol=0.0)
+        assert np.allclose([row.log10_bf10 for row in summary.rows], log10_bf,
+                           rtol=1e-13, atol=0.0)
+        # the numpy solve reproduces LAPACK's bits, so report bytes did not move with it
+        assert summary.beta_hat == tuple(beta_hat.tolist())
+        assert [row.log10_bf10 for row in summary.rows] == log10_bf.tolist()
 
     def test_intercept_only_design_has_no_bf(self):
         data = RegressionData(X=np.ones((8, 1)), y=np.arange(8.0),
