@@ -15,7 +15,6 @@ minimum step, so on IEEE doubles it takes the same iterates as
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -316,8 +315,13 @@ def cdf(d: Distribution, x: float) -> float:
     raise TypeError(f"not a distribution: {d!r}")
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = 1e-12,
-            rtol: float = 4.0 * sys.float_info.epsilon, maxiter: int = 200) -> float:
+# scipy.optimize.brentq's xtol, rtol (4*eps) and maxiter, as quantile calls it
+_XTOL = 1e-12
+_RTOL = 4.0 * 2.0 ** -52
+_MAXITER = 200
+
+
+def _brentq(f, xa: float, xb: float) -> float:
     """Root of f in [xa, xb] by Brent's method, as scipy's brentq.c computes it.
 
     xblk is the bracket end opposite xcur, spre and scur the previous and
@@ -340,14 +344,14 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-12,
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise NumericalError(f"root-finder: no sign change on [{xa!r}, {xb!r}]")
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -373,7 +377,7 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-12,
         else:
             xcur += delta if sbis > 0.0 else -delta
         fcur = value(xcur)
-    raise NumericalError(f"root-finder did not converge in {maxiter} iterations near x={xcur!r}")
+    raise NumericalError(f"root-finder did not converge in {_MAXITER} iterations near x={xcur!r}")
 
 
 def _discrete_quantile(d: Distribution, p: float) -> float:

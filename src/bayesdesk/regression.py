@@ -9,8 +9,10 @@ design against the design with one column removed. Dropping column j lowers
 log BF_j = (n/2) log1p(s beta_hat_j^2 / ([(X'X)^-1]_jj Q)) - log1p(g)/2, with
 Q = y'y - s ||Py||^2, s = g/(1+g). A BF beyond float range is inf, its log finite.
 beta_hat solves R beta = Q'y by back-substitution over the rows of R, and
-[(X'X)^-1]_jj is the squared norm of row j of R^-1; both use numpy only and
-give the same bits as LAPACK's triangular solve.
+[(X'X)^-1]_jj is the squared norm of row j of R^-1; both use numpy only. They
+gave the same bits as scipy's LAPACK triangular solve on every design tried
+(numpy 2.4.6 with scipy-openblas 0.3.31, scipy 1.17.1); that match is
+empirical, not guaranteed across numpy, BLAS or CPU changes.
 
 The closed form was validated against an independent numerical-integration
 oracle (explicit multivariate-normal marginal density integrated over

@@ -209,13 +209,14 @@ class TestBrentq:
         [(f, a, b)] = seen
         assert root == so.brentq(f, a, b, xtol=1e-12, maxiter=200)
 
-    def test_failures_are_numerical_errors(self):
+    def test_failures_are_numerical_errors(self, monkeypatch):
         with pytest.raises(NumericalError, match="no sign change"):
             _brentq(lambda t: t * t + 1.0, -1.0, 1.0)
         with pytest.raises(NumericalError, match="NaN"):
             _brentq(lambda t: math.nan if t > 0.25 else t, -1.0, 1.0)
         with pytest.raises(NumericalError, match="did not converge"):
-            _brentq(lambda t: t ** 3 - 0.3, 0.0, 1.0, maxiter=3)
+            monkeypatch.setattr("bayesdesk.distributions._MAXITER", 3)
+            _brentq(lambda t: t ** 3 - 0.3, 0.0, 1.0)
 
     @pytest.mark.parametrize("call", [
         lambda: quantile(Beta(1e9, 1e9), 0.5),

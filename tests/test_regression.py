@@ -237,7 +237,10 @@ class TestRegressionReport:
         assert np.allclose(summary.beta_hat, beta_hat, rtol=1e-13, atol=0.0)
         assert np.allclose([row.log10_bf10 for row in summary.rows], log10_bf,
                            rtol=1e-13, atol=0.0)
-        # the numpy solve reproduces LAPACK's bits, so report bytes did not move with it
+        # The bit match below was found by trying designs, not derived: it holds for
+        # numpy 2.4.6 (scipy-openblas 0.3.31) against scipy 1.17.1. If it fails after
+        # a library upgrade, read it as an environment change; the rtol checks above
+        # carry the numerical claim, and the golden digests pin the report bytes.
         assert summary.beta_hat == tuple(beta_hat.tolist())
         assert [row.log10_bf10 for row in summary.rows] == log10_bf.tolist()
 
