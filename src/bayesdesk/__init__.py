@@ -3,190 +3,21 @@
 Conjugate posterior updates, highest-posterior-density regions, point-null
 Bayes-factor testing, Zellner g-prior regression variable selection,
 posterior predictive distributions, and leave-one-out outlier detection.
+
+The root API is the union of the layer modules' ``__all__`` lists: a name
+becomes public by being listed in its layer module's ``__all__``.
 """
 
-from .conjugate import (
-    BetaBinomialModel,
-    GammaPoissonModel,
-    MapEstimate,
-    NormalInvGammaModel,
-    NormalKnownVarModel,
-    SummaryStats,
-    jeffreys_normal_posterior,
-    map_estimate,
-    nig_log_density,
-    posterior_mean,
-    sample_joint_posterior,
-    update_beta_binomial,
-    update_gamma_poisson,
-    update_normal_inverse_gamma,
-    update_normal_known_var,
-)
-from .distributions import (
-    Beta,
-    Binomial,
-    Cauchy,
-    Distribution,
-    Gamma,
-    InverseGamma,
-    Normal,
-    Poisson,
-    StudentT,
-    cdf,
-    density,
-    log_density,
-    mean,
-    mode,
-    quantile,
-    sample,
-    variance,
-)
-from .errors import (
-    CoverageError,
-    ImproperPosteriorError,
-    ImproperPriorError,
-    NumericalError,
-    RankDeficiencyError,
-)
-from .hpd import (
-    GridDensity,
-    HPDRegion,
-    cauchy_normal_log_posterior,
-    hpd_from_grid,
-    hpd_from_sample,
-    normalize,
-)
-from .predictive import (
-    OutlierReport,
-    OutlierRow,
-    PredictiveT,
-    bonferroni_bound,
-    detect_outliers,
-    loo_predictive_cdf,
-    predictive_from_posterior,
-)
-from .regression import (
-    CoefficientRow,
-    GPriorPosteriorSummary,
-    RegressionData,
-    bf_coefficient_nullity,
-    drop_column,
-    log_marginal_gprior,
-    regression_report,
-)
-from .testing import (
-    ACCEPT_H0,
-    EVIDENCE_LEGEND,
-    REJECT_H0,
-    Decision,
-    FlatImproperPrior,
-    MarginalSpec,
-    PointMass,
-    PointNullSpec,
-    SweepPoint,
-    TestResult,
-    bf10_normal_point_null,
-    bf_by_quadrature,
-    decide_zero_one,
-    evidence_category,
-    evidence_label,
-    improper_point_null_prob,
-    lindley_sweep,
-    model_posterior_probs,
-    one_sided_posterior_prob,
-    point_null_test,
-    posterior_null_prob_normal,
-    result_from_bf,
-)
+from . import conjugate, distributions, errors, hpd, predictive, regression, testing
+from .conjugate import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .hpd import *  # noqa: F401,F403
+from .predictive import *  # noqa: F401,F403
+from .regression import *  # noqa: F401,F403
+from .testing import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "NumericalError",
-    "ImproperPosteriorError",
-    "ImproperPriorError",
-    "RankDeficiencyError",
-    "CoverageError",
-    # distributions
-    "Normal",
-    "Gamma",
-    "InverseGamma",
-    "Beta",
-    "Binomial",
-    "Poisson",
-    "StudentT",
-    "Cauchy",
-    "Distribution",
-    "log_density",
-    "density",
-    "cdf",
-    "quantile",
-    "sample",
-    "mean",
-    "variance",
-    "mode",
-    # conjugate
-    "SummaryStats",
-    "BetaBinomialModel",
-    "GammaPoissonModel",
-    "NormalKnownVarModel",
-    "NormalInvGammaModel",
-    "MapEstimate",
-    "update_beta_binomial",
-    "update_gamma_poisson",
-    "update_normal_known_var",
-    "update_normal_inverse_gamma",
-    "posterior_mean",
-    "map_estimate",
-    "jeffreys_normal_posterior",
-    "nig_log_density",
-    "sample_joint_posterior",
-    # hpd
-    "GridDensity",
-    "HPDRegion",
-    "cauchy_normal_log_posterior",
-    "normalize",
-    "hpd_from_grid",
-    "hpd_from_sample",
-    # testing
-    "ACCEPT_H0",
-    "REJECT_H0",
-    "EVIDENCE_LEGEND",
-    "Decision",
-    "TestResult",
-    "PointMass",
-    "FlatImproperPrior",
-    "MarginalSpec",
-    "PointNullSpec",
-    "SweepPoint",
-    "decide_zero_one",
-    "bf10_normal_point_null",
-    "posterior_null_prob_normal",
-    "lindley_sweep",
-    "improper_point_null_prob",
-    "one_sided_posterior_prob",
-    "bf_by_quadrature",
-    "point_null_test",
-    "evidence_label",
-    "evidence_category",
-    "model_posterior_probs",
-    "result_from_bf",
-    # regression
-    "RegressionData",
-    "CoefficientRow",
-    "GPriorPosteriorSummary",
-    "drop_column",
-    "log_marginal_gprior",
-    "bf_coefficient_nullity",
-    "regression_report",
-    # predictive
-    "PredictiveT",
-    "OutlierRow",
-    "OutlierReport",
-    "predictive_from_posterior",
-    "loo_predictive_cdf",
-    "bonferroni_bound",
-    "detect_outliers",
-]
+__all__ = ["__version__", *errors.__all__, *distributions.__all__, *conjugate.__all__,
+           *hpd.__all__, *testing.__all__, *regression.__all__, *predictive.__all__]

@@ -24,6 +24,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -422,24 +423,29 @@ def _emit(args, payload: dict, table: Table | None) -> None:
 # ---------------------------------------------------------------------------
 # shared model plumbing
 
+def _read_sample(args, flags: tuple[str, ...]) -> tuple:
+    """Exactly one of `flags`, drawn from --stats, --data, --data-file.
+
+    Returns the parsed SummaryStats for --stats, else the sample values, plus
+    the provenance the report prints.
+    """
+    if sum(bool(getattr(args, flag[2:].replace("-", "_"))) for flag in flags) != 1:
+        raise ValueError(f"provide exactly one of {', '.join(flags)}")
+    if args.data:
+        values = _parse_float_list(args.data, "--data")
+        return values, {"data": values}
+    if args.data_file:
+        values, column = _read_numeric_column(args.data_file, args.column)
+        return values, {"data_file": args.data_file, "column": column}
+    return _parse_stats(args.stats), {"stats": args.stats}
+
+
 def _resolve_stats(args) -> tuple[SummaryStats, dict]:
     """One of --stats, --data, --data-file; returns stats plus provenance."""
-    given = [name for name, val in (("--stats", args.stats), ("--data", args.data),
-                                    ("--data-file", args.data_file)) if val]
-    if len(given) != 1:
-        raise ValueError("provide exactly one of --stats, --data, --data-file")
-    if args.stats:
-        stats = _parse_stats(args.stats)
-        source = {"stats": args.stats}
-    elif args.data:
-        values = _parse_float_list(args.data, "--data")
-        stats = SummaryStats.from_data(values)
-        source = {"data": values}
-    else:
-        values, column = _read_numeric_column(args.data_file, args.column)
-        stats = SummaryStats.from_data(values)
-        source = {"data_file": args.data_file, "column": column}
-    return stats, source
+    sample, source = _read_sample(args, ("--stats", "--data", "--data-file"))
+    if not isinstance(sample, SummaryStats):
+        sample = SummaryStats.from_data(sample)
+    return sample, source
 
 
 def _stats_payload(stats: SummaryStats) -> dict:
@@ -494,27 +500,15 @@ def _log_density_grid(dist, args) -> GridDensity:
     return GridDensity(xs, log_vals)
 
 
-def _dist_payload(dist) -> dict:
-    if isinstance(dist, Beta):
-        return {"family": "Beta", "a": dist.a, "b": dist.b}
-    if isinstance(dist, Gamma):
-        return {"family": "Gamma", "shape": dist.shape, "rate": dist.rate}
-    if isinstance(dist, Normal):
-        return {"family": "Normal", "mean": dist.mean, "variance": dist.variance}
-    if isinstance(dist, StudentT):
-        return {"family": "StudentT", "df": dist.df, "location": dist.location,
-                "scale": dist.scale}
-    raise TypeError(f"unsupported distribution {dist!r}")
+def _payload(law) -> dict:
+    """A distribution or NIG model as its family name, then its dataclass fields in order."""
+    family = "NormalInverseGamma" if isinstance(law, NormalInvGammaModel) else type(law).__name__
+    return {"family": family, **{f.name: getattr(law, f.name) for f in fields(law)}}
 
 
 def _nig_prior(args) -> NormalInvGammaModel:
     return NormalInvGammaModel(xi=args.prior_xi, lam_mu=args.prior_lam_mu,
                                lam_sigma=args.prior_lam_sigma, alpha=args.prior_alpha)
-
-
-def _nig_payload(m: NormalInvGammaModel) -> dict:
-    return {"family": "NormalInverseGamma", "xi": m.xi, "lam_mu": m.lam_mu,
-            "lam_sigma": m.lam_sigma, "alpha": m.alpha}
 
 
 def _counts_exposures(args) -> tuple[list[int], list[float], dict]:
@@ -590,10 +584,10 @@ def cmd_estimate(args) -> tuple[dict, Table | None]:
         stats, source = _resolve_stats(args)
         prior = _nig_prior(args)
         post = update_normal_inverse_gamma(prior, stats)
-        payload["prior"] = _nig_payload(prior)
+        payload["prior"] = _payload(prior)
         payload["data"] = source
         payload["stats"] = _stats_payload(stats)
-        payload["posterior"] = _nig_payload(post)
+        payload["posterior"] = _payload(post)
         payload["mu_posterior_mean"] = post.xi
         payload["sigma_sq_posterior_mean"] = (
             (0.5 * post.alpha) / (post.lam_sigma - 1.0) if post.lam_sigma > 1.0 else None)
@@ -601,14 +595,14 @@ def cmd_estimate(args) -> tuple[dict, Table | None]:
                                 "sigma_sq": (0.5 * post.alpha) / (post.lam_sigma + 1.5)}
         mu_marginal = StudentT(df=2.0 * post.lam_sigma, location=post.xi,
                                scale=math.sqrt(post.alpha / (2.0 * post.lam_sigma * post.lam_mu)))
-        payload["mu_marginal"] = _dist_payload(mu_marginal)
+        payload["mu_marginal"] = _payload(mu_marginal)
         if args.grid_csv:
             _write_side_file(args, "grid_csv", payload, _log_density_grid(mu_marginal, args))
         return payload, None
     build, _ = _CONJUGATE[args.model]
     post, fields = build(args)
     payload.update(fields)
-    payload["posterior"] = _dist_payload(post)
+    payload["posterior"] = _payload(post)
     payload["posterior_mean"] = posterior_mean(post)
     est = map_estimate(post)
     payload["map_estimate"] = est.value
@@ -624,7 +618,7 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         stats, source = _resolve_stats(args)
         post = update_normal_inverse_gamma(NormalInvGammaModel(), stats)
         payload["data"] = source
-        payload["posterior"] = _nig_payload(post)
+        payload["posterior"] = _payload(post)
         if args.sample is None:
             raise ValueError("normal-jeffreys HPD is sample-based: pass --sample")
         draws = sample_joint_posterior(post, args.sample, args.seed)
@@ -654,7 +648,7 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         build, shared = _CONJUGATE[args.model]
         post, fields = build(args)
         payload.update((key, fields[key]) for key in shared)
-        payload["posterior"] = _dist_payload(post)
+        payload["posterior"] = _payload(post)
         grid_density = normalize(_log_density_grid(post, args))
 
     region = hpd_from_grid(grid_density, args.alpha)
@@ -789,31 +783,22 @@ def cmd_predict(args) -> tuple[dict, Table | None]:
     stats, source = _resolve_stats(args)
     prior = _nig_prior(args)
     post = update_normal_inverse_gamma(prior, stats)
-    pred = predictive_from_posterior(post)
+    pred = predictive_from_posterior(post).to_distribution()
     payload = {
         "command": "predict",
-        "prior": _nig_payload(prior),
+        "prior": _payload(prior),
         "data": source,
         "stats": _stats_payload(stats),
-        "posterior": _nig_payload(post),
-        "predictive": {"family": "StudentT", "df": pred.df,
-                       "location": pred.location, "scale": pred.scale},
+        "posterior": _payload(post),
+        "predictive": _payload(pred),
     }
     if args.grid_csv:
-        _write_side_file(args, "grid_csv", payload,
-                         _log_density_grid(pred.to_distribution(), args))
+        _write_side_file(args, "grid_csv", payload, _log_density_grid(pred, args))
     return payload, None
 
 
 def cmd_outliers(args) -> tuple[dict, Table | None]:
-    if bool(args.data) == bool(args.data_file):
-        raise ValueError("provide exactly one of --data, --data-file")
-    if args.data:
-        values = _parse_float_list(args.data, "--data")
-        source: dict = {"data": values}
-    else:
-        values, column = _read_numeric_column(args.data_file, args.column)
-        source = {"data_file": args.data_file, "column": column}
+    values, source = _read_sample(args, ("--data", "--data-file"))
     report = detect_outliers(np.asarray(values, dtype=float), args.alpha)
     payload = {
         "command": "outliers",

@@ -6,6 +6,14 @@ deficiency, unreachable coverage) raise ``NumericalError`` subclasses so the
 CLI can map them to a distinct exit code.
 """
 
+__all__ = [
+    "NumericalError",
+    "ImproperPosteriorError",
+    "ImproperPriorError",
+    "RankDeficiencyError",
+    "CoverageError",
+]
+
 
 class NumericalError(RuntimeError):
     """A computation cannot produce a proper, finite result."""
