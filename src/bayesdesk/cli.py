@@ -402,14 +402,12 @@ def _emit(args, payload: dict, table: Table | None) -> None:
             table = Table(["key", "value"], _flatten(payload))
         table.write_csv(sys.stdout)
         return
-    # text: self-describing header with the resolved defaults
-    alpha = getattr(args, "alpha", None)
-    seed = getattr(args, "seed", None)
-    points = getattr(args, "grid_points", None)
+    # text: self-describing header with the resolved settings the subcommand takes
     print(f"# bayesdesk {args.command}")
-    print(f"# settings: alpha={_text_scalar(alpha if alpha is not None else 0.05)}"
-          f" grid_points={points if points is not None else DEFAULT_GRID_POINTS}"
-          f" seed={seed if seed is not None else 0}")
+    settings = [f"{name}={_text_scalar(getattr(args, name))}"
+                for name in ("alpha", "grid_points", "seed") if hasattr(args, name)]
+    if settings:
+        print("# settings: " + " ".join(settings))
     # a list that the table shows is not repeated as key: value lines
     shown = ("rows", "sweep") if table is not None else ()
     for k, v in _flatten({k: v for k, v in payload.items() if k not in shown}):
@@ -709,6 +707,8 @@ def cmd_test(args) -> tuple[dict, Table | None]:
         if args.slab == "flat":
             slab: object = FlatImproperPrior()
         else:
+            if not 0.0 < tau * tau < math.inf:
+                raise ValueError(f"--tau {tau!r}: the slab variance tau^2 leaves float range")
             payload["tau"] = tau
             slab = Normal(args.theta0, tau * tau)
         spec = PointNullSpec(theta0=args.theta0, rho=args.rho, slab=slab)

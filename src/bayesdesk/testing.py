@@ -9,6 +9,7 @@ grading on the log10 Bayes-factor scale, and posterior model probabilities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -49,6 +50,7 @@ REJECT_H0 = "reject_H0"
 EVIDENCE_LEGEND = "evidence against H0: (****) decisive, (***) strong, (**) substantial, (*) poor"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 class Decision(NamedTuple):
@@ -167,7 +169,27 @@ def _check_sigma_tau(sigma: float, tau: float) -> None:
 def _log_bf10_normal(x: float, sigma: float, tau: float) -> float:
     s2 = sigma * sigma
     t2 = tau * tau
-    return 0.5 * math.log(s2 / (s2 + t2)) + x * x * t2 / (2.0 * s2 * (s2 + t2))
+    denom = 2.0 * s2 * (s2 + t2)
+    if _FLOAT_MIN <= denom < math.inf:
+        return 0.5 * math.log(s2 / (s2 + t2)) + x * x * t2 / denom
+    return _log_bf10_normal_scaled(x, sigma, tau)
+
+
+def _log_bf10_normal_scaled(x: float, sigma: float, tau: float) -> float:
+    """_log_bf10_normal for a sigma or tau whose square leaves float range.
+
+    With r = tau/sigma, log BF10 = -log(1 + r^2)/2 + (x/sigma)^2/2 * r^2/(1 + r^2).
+    Both terms are formed from q = min(r, 1/r), so nothing is squared out of range.
+    """
+    if tau <= sigma:
+        qq = (tau / sigma) ** 2
+        half_log, weight = 0.5 * math.log1p(qq), qq / (1.0 + qq)
+    else:
+        qq = (sigma / tau) ** 2
+        half_log = math.log(tau) - math.log(sigma) + 0.5 * math.log1p(qq)
+        weight = 1.0 / (1.0 + qq)
+    z = x / sigma
+    return (0.5 * z * z * weight if weight else 0.0) - half_log
 
 
 def bf10_normal_point_null(x: float, sigma: float, tau: float) -> float:
@@ -297,20 +319,10 @@ def _log_marginal(spec: MarginalSpec, x: float) -> float:
         v = log_integrand(theta) - shift
         return math.exp(min(v, 700.0))
 
-    pieces: list[float] = []
-    if lo == -math.inf and hi == math.inf:
-        pieces.append(quad(integrand, -math.inf, center, epsabs=1e-12, epsrel=1e-10, limit=200)[0])
-        pieces.append(quad(integrand, center, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)[0])
-    elif hi == math.inf:
-        if center > lo:
-            pieces.append(quad(integrand, lo, center, epsabs=1e-12, epsrel=1e-10, limit=200)[0])
-            pieces.append(quad(integrand, center, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)[0])
-        else:
-            pieces.append(quad(integrand, lo, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)[0])
-    else:
-        inner = [center] if lo < center < hi else None
-        pieces.append(quad(integrand, lo, hi, points=inner, epsabs=1e-12, epsrel=1e-10, limit=200)[0])
-    total = sum(pieces)
+    # split at the peak, so quad cannot step over it
+    edges = [lo, center, hi] if lo < center < hi else [lo, hi]
+    total = sum(quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+                for a, b in zip(edges, edges[1:]))
     if math.isnan(total) or total < 0 or math.isinf(total):
         raise NumericalError(f"marginal quadrature failed: integral = {total!r}")
     if total == 0.0:
@@ -330,12 +342,13 @@ def bf_by_quadrature(m0: MarginalSpec, m1: MarginalSpec, x: float) -> float:
 
 def _log_bf_by_quadrature(m0: MarginalSpec, m1: MarginalSpec, x: float) -> float:
     lm0 = _log_marginal(m0, float(x))
+    if lm0 == -math.inf:
+        raise NumericalError(
+            "the null marginal underflows to zero at x, so the Bayes factor overflows")
     lm1 = _log_marginal(m1, float(x))
     if math.isnan(lm0) or math.isnan(lm1) or math.inf in (lm0, lm1):
         raise NumericalError(
             f"marginal likelihoods must be finite, got log m0={lm0!r}, log m1={lm1!r}")
-    if lm0 == -math.inf:
-        raise NumericalError("null marginal is zero at x; the Bayes factor diverges")
     return lm1 - lm0
 
 
@@ -417,18 +430,37 @@ def point_null_test(
         log_bf = _log_bf10_normal(float(x - spec.theta0), float(sigma),
                                   math.sqrt(spec.slab.variance))
     else:
-        s2 = float(sigma) ** 2
-
-        def log_lik(theta: float, obs: float) -> float:
-            dev = obs - theta
-            return -_LOG_SQRT_2PI - 0.5 * math.log(s2) - dev * dev / (2.0 * s2)
-
+        log_lik = _normal_log_lik(float(sigma))
         log_bf = _log_bf_by_quadrature(
             MarginalSpec(log_lik, PointMass(spec.theta0)),
             MarginalSpec(log_lik, spec.slab),
             x,
         )
+    if not log_bf < math.inf:
+        raise NumericalError(
+            f"the log Bayes factor overflows float range (x = {x!r}, sigma = {sigma!r})")
     return _result_from_log_bf(log_bf, spec.rho)
+
+
+def _normal_log_lik(sigma: float) -> Callable[[float, float], float]:
+    """log Normal(obs; theta, sigma^2) as a function of (theta, obs)."""
+    try:
+        s2 = sigma ** 2
+    except OverflowError:
+        s2 = math.inf
+    if _FLOAT_MIN <= s2 < math.inf:
+        def log_lik(theta: float, obs: float) -> float:
+            dev = obs - theta
+            return -_LOG_SQRT_2PI - 0.5 * math.log(s2) - dev * dev / (2.0 * s2)
+        return log_lik
+
+    # sigma^2 leaves float range: standardise by sigma and carry log sigma
+    log_sigma = math.log(sigma)
+
+    def scaled_log_lik(theta: float, obs: float) -> float:
+        z = (obs - theta) / sigma
+        return -_LOG_SQRT_2PI - log_sigma - 0.5 * z * z
+    return scaled_log_lik
 
 
 def model_posterior_probs(

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -376,9 +377,11 @@ class TestOutputContract:
         _, out, _ = run(capsys, "estimate", "--model", "beta-binomial",
                         "--successes", "38", "--trials", "58")
         lines = out.splitlines()
-        assert lines[0] == "# bayesdesk estimate"
-        assert "grid_points=4001" in lines[1]
-        assert "seed=0" in lines[1]
+        assert lines[:2] == ["# bayesdesk estimate", "# settings: grid_points=4001"]
+        _, out, _ = run(capsys, "test", "--point-null", "--x", "1.96", "--tau", "3")
+        lines = out.splitlines()
+        assert lines[0] == "# bayesdesk test"
+        assert not any(line.startswith("# settings") for line in lines)
 
     def test_csv_format_is_key_value(self, capsys):
         _, out, _ = run(capsys, "estimate", "--model", "beta-binomial",
@@ -488,6 +491,30 @@ class TestOutputContract:
                                  "--quadrature")
         assert (code, out) == (3, "")
         assert err.startswith("numerical error:") and caught == []
+
+    @pytest.mark.parametrize("argv, want_code, named", [
+        ("--x 1 --sigma 1e200 --tau 1", 0, None),
+        ("--x 1 --sigma 1e200 --tau 1 --quadrature", 0, None),
+        ("--x 1 --sigma 1e-200 --tau 1 --quadrature", 3, "overflows"),
+        ("--x 1e300 --tau 2", 3, "overflows"),
+        ("--x 1.96 --tau 1e200", 2, "--tau"),
+        ("--x 1 --sigma 1e-200 --tau 1", 3, "overflows"),
+        ("--x 1.96 --tau 1e-200", 2, "--tau"),
+    ])
+    def test_point_null_squares_out_of_float_range(self, capsys, argv, want_code, named):
+        # sigma^2, tau^2 or (x/sigma)^2 leaves float range: a finite answer, or a
+        # clean exit that says why
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "test", "--point-null", *argv.split())
+        assert code == want_code and "Traceback" not in err and caught == []
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+        if want_code == 0:
+            [log10_bf10] = [line.split(": ")[1] for line in out.splitlines()
+                            if line.startswith("log10_bf10:")]
+            assert abs(float(log10_bf10)) < 1e-9
+        else:
+            assert out == "" and named in err
 
     def test_huge_data_on_explicit_grid_is_finite(self, capsys):
         # log1p((x - mu)^2) is 2 log(1e308) per datum, finite though (x - mu)^2 is not

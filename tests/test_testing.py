@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -30,6 +31,7 @@ from bayesdesk.testing import (
     posterior_null_prob_normal,
     result_from_bf,
 )
+from bayesdesk.testing import _log_bf10_normal, _log_bf10_normal_scaled
 
 
 def _bf_closed_oracle(x, sigma, tau):
@@ -301,6 +303,44 @@ class TestPointNullTest:
         assert r.log10_bf10 == pytest.approx(expected, rel=1e-12)
         assert r.posterior_null_prob == 0.0 and r.evidence == "****"
         assert bf10_normal_point_null(60.0, 1.0, 10.0) == math.inf
+
+
+class TestSquaresOutOfFloatRange:
+    @staticmethod
+    def _log_bf_oracle(x, sigma, tau):
+        with mpmath.workdps(40):
+            x, r = mpmath.mpf(x) / sigma, mpmath.mpf(tau) / sigma
+            return float(-mpmath.log1p(r * r) / 2 + x * x / 2 * r * r / (1 + r * r))
+
+    def test_scaled_form_matches_direct_form_on_ordinary_inputs(self):
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            x = float(rng.uniform(-10.0, 10.0))
+            sigma, tau = (float(v) for v in 10.0 ** rng.uniform(-5.0, 5.0, size=2))
+            assert _log_bf10_normal_scaled(x, sigma, tau) == pytest.approx(
+                _log_bf10_normal(x, sigma, tau), rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("x, sigma, tau", [
+        (1.0, 1e200, 1.0),          # sigma^2 overflows
+        (1.96, 1.0, 1e200),         # tau^2 overflows: Lindley's paradox at its extreme
+        (1.0, 1e-150, 1e-150),      # the denominator underflows to zero
+        (3.0, 1e170, 1e171),
+        (1e-100, 1e-170, 1e-160),
+    ])
+    def test_extreme_scales_match_mpmath(self, x, sigma, tau):
+        assert _log_bf10_normal(x, sigma, tau) == pytest.approx(
+            self._log_bf_oracle(x, sigma, tau), rel=1e-12, abs=1e-300)
+
+    def test_sweep_reaches_huge_tau(self):
+        [point] = lindley_sweep(1.96, 1.0, 0.5, [1e300])
+        assert point.bf10 == pytest.approx(math.exp(0.5 * 1.96 ** 2) * 1e-300, rel=1e-12)
+        assert point.posterior_null_prob == 1.0
+
+    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+    def test_log_bf_past_float_range_is_a_numerical_error(self, method):
+        spec = PointNullSpec(theta0=0.0, rho=0.5, slab=Normal(0.0, 1.0))
+        with pytest.raises(NumericalError, match="overflows"):
+            point_null_test(spec, 1.0, 1e-200, method=method)
 
 
 class TestModelPosteriorProbs:
