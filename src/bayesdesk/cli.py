@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -498,10 +498,10 @@ def _log_density_grid(dist, args) -> GridDensity:
     return GridDensity(xs, log_vals)
 
 
-def _payload(law) -> dict:
+def _family_payload(law) -> dict:
     """A distribution or NIG model as its family name, then its dataclass fields in order."""
     family = "NormalInverseGamma" if isinstance(law, NormalInvGammaModel) else type(law).__name__
-    return {"family": family, **{f.name: getattr(law, f.name) for f in fields(law)}}
+    return {"family": family, **{f.name: getattr(law, f.name) for f in dataclasses.fields(law)}}
 
 
 def _nig_prior(args) -> NormalInvGammaModel:
@@ -582,10 +582,10 @@ def cmd_estimate(args) -> tuple[dict, Table | None]:
         stats, source = _resolve_stats(args)
         prior = _nig_prior(args)
         post = update_normal_inverse_gamma(prior, stats)
-        payload["prior"] = _payload(prior)
+        payload["prior"] = _family_payload(prior)
         payload["data"] = source
         payload["stats"] = _stats_payload(stats)
-        payload["posterior"] = _payload(post)
+        payload["posterior"] = _family_payload(post)
         payload["mu_posterior_mean"] = post.xi
         payload["sigma_sq_posterior_mean"] = (
             (0.5 * post.alpha) / (post.lam_sigma - 1.0) if post.lam_sigma > 1.0 else None)
@@ -593,14 +593,14 @@ def cmd_estimate(args) -> tuple[dict, Table | None]:
                                 "sigma_sq": (0.5 * post.alpha) / (post.lam_sigma + 1.5)}
         mu_marginal = StudentT(df=2.0 * post.lam_sigma, location=post.xi,
                                scale=math.sqrt(post.alpha / (2.0 * post.lam_sigma * post.lam_mu)))
-        payload["mu_marginal"] = _payload(mu_marginal)
+        payload["mu_marginal"] = _family_payload(mu_marginal)
         if args.grid_csv:
             _write_side_file(args, "grid_csv", payload, _log_density_grid(mu_marginal, args))
         return payload, None
     build, _ = _CONJUGATE[args.model]
     post, fields = build(args)
     payload.update(fields)
-    payload["posterior"] = _payload(post)
+    payload["posterior"] = _family_payload(post)
     payload["posterior_mean"] = posterior_mean(post)
     est = map_estimate(post)
     payload["map_estimate"] = est.value
@@ -616,7 +616,7 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         stats, source = _resolve_stats(args)
         post = update_normal_inverse_gamma(NormalInvGammaModel(), stats)
         payload["data"] = source
-        payload["posterior"] = _payload(post)
+        payload["posterior"] = _family_payload(post)
         if args.sample is None:
             raise ValueError("normal-jeffreys HPD is sample-based: pass --sample")
         draws = sample_joint_posterior(post, args.sample, args.seed)
@@ -646,7 +646,7 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         build, shared = _CONJUGATE[args.model]
         post, fields = build(args)
         payload.update((key, fields[key]) for key in shared)
-        payload["posterior"] = _payload(post)
+        payload["posterior"] = _family_payload(post)
         grid_density = normalize(_log_density_grid(post, args))
 
     region = hpd_from_grid(grid_density, args.alpha)
@@ -786,11 +786,11 @@ def cmd_predict(args) -> tuple[dict, Table | None]:
     pred = predictive_from_posterior(post).to_distribution()
     payload = {
         "command": "predict",
-        "prior": _payload(prior),
+        "prior": _family_payload(prior),
         "data": source,
         "stats": _stats_payload(stats),
-        "posterior": _payload(post),
-        "predictive": _payload(pred),
+        "posterior": _family_payload(post),
+        "predictive": _family_payload(pred),
     }
     if args.grid_csv:
         _write_side_file(args, "grid_csv", payload, _log_density_grid(pred, args))
