@@ -9,7 +9,6 @@ grading on the log10 Bayes-factor scale, and posterior model probabilities.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -50,7 +49,9 @@ REJECT_H0 = "reject_H0"
 EVIDENCE_LEGEND = "evidence against H0: (****) decisive, (***) strong, (**) substantial, (*) poor"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_FLOAT_MIN = sys.float_info.min  # the smallest normal float
+# |x|, sigma and tau that are 0 or within these bounds keep every square and
+# product in the normal log likelihood and the closed-form log BF10 a normal float
+_SAFE_MIN, _SAFE_MAX = 1e-75, 1e75
 
 
 class Decision(NamedTuple):
@@ -167,29 +168,29 @@ def _check_sigma_tau(sigma: float, tau: float) -> None:
 
 
 def _log_bf10_normal(x: float, sigma: float, tau: float) -> float:
-    s2 = sigma * sigma
-    t2 = tau * tau
-    denom = 2.0 * s2 * (s2 + t2)
-    if _FLOAT_MIN <= denom < math.inf:
-        return 0.5 * math.log(s2 / (s2 + t2)) + x * x * t2 / denom
+    if ((x == 0.0 or _SAFE_MIN <= abs(x) <= _SAFE_MAX) and _SAFE_MIN <= sigma <= _SAFE_MAX
+            and (tau == 0.0 or _SAFE_MIN <= tau <= _SAFE_MAX)):
+        s2 = sigma * sigma
+        t2 = tau * tau
+        return 0.5 * math.log(s2 / (s2 + t2)) + x * x * t2 / (2.0 * s2 * (s2 + t2))
     return _log_bf10_normal_scaled(x, sigma, tau)
 
 
 def _log_bf10_normal_scaled(x: float, sigma: float, tau: float) -> float:
-    """_log_bf10_normal for a sigma or tau whose square leaves float range.
+    """_log_bf10_normal for inputs whose squares or products may leave float range.
 
-    With r = tau/sigma, log BF10 = -log(1 + r^2)/2 + (x/sigma)^2/2 * r^2/(1 + r^2).
-    Both terms are formed from q = min(r, 1/r), so nothing is squared out of range.
+    With q = min(tau/sigma, sigma/tau) and z = x/sigma, log BF10 is
+    (z q)^2 / (2 (1 + q^2)) - log(1 + q^2)/2 when tau <= sigma, and
+    z^2 / (2 (1 + q^2)) - log(tau/sigma) - log(1 + q^2)/2 otherwise.
     """
     if tau <= sigma:
-        qq = (tau / sigma) ** 2
-        half_log, weight = 0.5 * math.log1p(qq), qq / (1.0 + qq)
-    else:
-        qq = (sigma / tau) ** 2
-        half_log = math.log(tau) - math.log(sigma) + 0.5 * math.log1p(qq)
-        weight = 1.0 / (1.0 + qq)
+        q = tau / sigma
+        zq = x * q / sigma
+        return 0.5 * zq * zq / (1.0 + q * q) - 0.5 * math.log1p(q * q)
+    q = sigma / tau
     z = x / sigma
-    return (0.5 * z * z * weight if weight else 0.0) - half_log
+    half_log = math.log(tau) - math.log(sigma) + 0.5 * math.log1p(q * q)
+    return 0.5 * z * z / (1.0 + q * q) - half_log
 
 
 def bf10_normal_point_null(x: float, sigma: float, tau: float) -> float:
@@ -444,17 +445,15 @@ def point_null_test(
 
 def _normal_log_lik(sigma: float) -> Callable[[float, float], float]:
     """log Normal(obs; theta, sigma^2) as a function of (theta, obs)."""
-    try:
+    if _SAFE_MIN <= sigma <= _SAFE_MAX:
         s2 = sigma ** 2
-    except OverflowError:
-        s2 = math.inf
-    if _FLOAT_MIN <= s2 < math.inf:
+
         def log_lik(theta: float, obs: float) -> float:
             dev = obs - theta
             return -_LOG_SQRT_2PI - 0.5 * math.log(s2) - dev * dev / (2.0 * s2)
         return log_lik
 
-    # sigma^2 leaves float range: standardise by sigma and carry log sigma
+    # sigma^2 may leave float range: standardise by sigma and carry log sigma
     log_sigma = math.log(sigma)
 
     def scaled_log_lik(theta: float, obs: float) -> float:

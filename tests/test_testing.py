@@ -326,6 +326,10 @@ class TestSquaresOutOfFloatRange:
         (1.0, 1e-150, 1e-150),      # the denominator underflows to zero
         (3.0, 1e170, 1e171),
         (1e-100, 1e-170, 1e-160),
+        (1e160, 1.0, 1e-150),       # x^2 overflows, (x tau)^2 does not
+        (1e150, 1.0, 1e10),         # x^2 tau^2 overflows, the log BF does not
+        (1.0, 1e-50, 1e125),        # sigma^2/(sigma^2 + tau^2) underflows
+        (1e-80, 1e-75, 1e-75),      # x^2 tau^2 underflows
     ])
     def test_extreme_scales_match_mpmath(self, x, sigma, tau):
         assert _log_bf10_normal(x, sigma, tau) == pytest.approx(
