@@ -320,7 +320,7 @@ def _log_marginal(spec: MarginalSpec, x: float) -> float:
         v = log_integrand(theta) - shift
         return math.exp(min(v, 700.0))
 
-    # split at the peak, so quad cannot step over it
+    # one piece each side of the peak, which one call over the whole range can miss
     edges = [lo, center, hi] if lo < center < hi else [lo, hi]
     total = sum(quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
                 for a, b in zip(edges, edges[1:]))
