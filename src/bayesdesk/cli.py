@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -933,7 +934,13 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared after it.
+
+    Parsing leaves the tree unchanged, and help and usage text read $COLUMNS
+    when they are formatted, so one tree serves every `main` call.
+    """
     parser = argparse.ArgumentParser(
         prog="bayesdesk",
         description="Bayesian estimation, credible regions, testing, regression, "

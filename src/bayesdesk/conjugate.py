@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -163,6 +164,11 @@ class NormalInvGammaModel:
     def is_proper(self) -> bool:
         return self.lam_mu > 0 and self.lam_sigma > 0 and self.alpha > 0
 
+    @cached_property
+    def _log_gamma_lam_sigma(self) -> float:
+        # computed once per model for nig_log_density; not a dataclass field
+        return log_gamma(self.lam_sigma)
+
 
 class MapEstimate(NamedTuple):
     """MAP value plus a flag set when the optimum sits on a boundary."""
@@ -291,7 +297,7 @@ def nig_log_density(m: NormalInvGammaModel, mu: float, sigma_sq: float) -> float
     half_alpha = 0.5 * m.alpha
     return (0.5 * (math.log(m.lam_mu) - _LOG_2PI - math.log(sigma_sq))
             - m.lam_mu * (mu - m.xi) ** 2 / (2.0 * sigma_sq)
-            + m.lam_sigma * math.log(half_alpha) - log_gamma(m.lam_sigma)
+            + m.lam_sigma * math.log(half_alpha) - m._log_gamma_lam_sigma
             - (m.lam_sigma + 1.0) * math.log(sigma_sq) - half_alpha / sigma_sq)
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: invocations, formats, exit codes, determinism."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bayesdesk import cli
 from bayesdesk.cli import main
+from bayesdesk.conjugate import NormalInvGammaModel, nig_log_density
+from bayesdesk.distributions import Beta, Gamma, InverseGamma, StudentT, log_density
 
 DATA = Path(__file__).parent / "data"
 
@@ -534,6 +539,70 @@ class TestOutputContract:
         code, _, err = run(capsys, "outliers", "--data-file", "/nonexistent/file.csv")
         assert code == 2
 
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_only_the_first_main_call_builds_parsers(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argvs = [("estimate", "--model", "beta-binomial", "--successes", "3", "--trials", "9"),
+                 ("test", "--point-null", "--x", "1.96", "--tau", "2"),
+                 ("estimate", "--model", "beta-binomial", "--successes", "3", "--trials", "9")]
+        counts = []
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == 0
+            counts.append(len(built))
+        # the root parser plus one per subcommand, all on the first call
+        assert counts == [1 + len(cli._SUBCOMMANDS)] * len(argvs)
+
+    @pytest.mark.parametrize("argv", [("--help",), ("hpd", "--help"), ("hpd",),
+                                      ("test", "--x", "1"), ("estimate", "--model", "nope")],
+                             ids=["help", "subcommand-help", "missing-flag", "missing-mode",
+                                  "bad-choice"])
+    def test_help_and_usage_bytes_follow_columns(self, capsys, monkeypatch, fresh_parser, argv):
+        # one cached parser serves both widths with the bytes a new parser gives
+        seen = {}
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as cached:
+                main(list(argv))
+            got = capsys.readouterr()
+            with pytest.raises(SystemExit) as fresh:
+                cli.build_parser.__wrapped__().parse_args(list(argv))
+            assert (cached.value.code, got) == (fresh.value.code, capsys.readouterr())
+            seen[columns] = got
+        assert seen["60"] != seen["120"]
+
+
+_LAWS = [(Gamma(2.5, 1.5), lambda d: log_density(d, 1.0)),
+         (InverseGamma(3.0, 2.0), lambda d: log_density(d, 1.0)),
+         (Beta(2.0, 3.0), lambda d: log_density(d, 0.3)),
+         (StudentT(4.0, 1.0, 2.0), lambda d: log_density(d, 0.5)),
+         (NormalInvGammaModel(0.5, 2.0, 3.0, 4.0), lambda m: nig_log_density(m, 0.1, 1.2))]
+
+
+@pytest.mark.parametrize("law, evaluate", _LAWS, ids=[type(law).__name__ for law, _ in _LAWS])
+def test_cached_normaliser_stays_out_of_fields_and_payloads(law, evaluate):
+    untouched = dataclasses.replace(law)
+    before = (dataclasses.fields(law), repr(law), hash(law), cli._family_payload(law))
+    evaluate(law)
+    [cached] = vars(law).keys() - {f.name for f in dataclasses.fields(law)}
+    assert cached.startswith("_")
+    assert (dataclasses.fields(law), repr(law), hash(law), cli._family_payload(law)) == before
+    assert law == untouched and hash(law) == hash(untouched)
+    assert cached not in repr(law) and cached not in cli._family_payload(law)
 
 class TestImportFootprint:
     def test_no_scipy_without_quadrature(self, tmp_path):

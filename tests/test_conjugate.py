@@ -26,6 +26,7 @@ from bayesdesk.conjugate import (
 from bayesdesk.distributions import Beta, Gamma, Normal
 from bayesdesk.errors import ImproperPosteriorError
 from bayesdesk.hpd import GridDensity
+from bayesdesk.special import log_gamma
 
 
 class TestSummaryStats:
@@ -268,3 +269,22 @@ class TestMapEstimate:
         est = map_estimate(grid)
         assert est.value == 0.0
         assert est.at_boundary
+
+
+class TestCachedNigTerm:
+    def test_bits_match_the_inline_formula(self):
+        # the formula nig_log_density evaluated before log_gamma(lam_sigma) was cached
+        def inline(m, mu, s2):
+            half_alpha = 0.5 * m.alpha
+            return (0.5 * (math.log(m.lam_mu) - math.log(2.0 * math.pi) - math.log(s2))
+                    - m.lam_mu * (mu - m.xi) ** 2 / (2.0 * s2)
+                    + m.lam_sigma * math.log(half_alpha) - log_gamma(m.lam_sigma)
+                    - (m.lam_sigma + 1.0) * math.log(s2) - half_alpha / s2)
+
+        rng = np.random.default_rng(1919)
+        for _ in range(200):
+            lam_mu, lam_sigma, alpha = np.exp(rng.uniform(-3.0, 5.0, 3)).tolist()
+            m = NormalInvGammaModel(float(rng.normal(0.0, 5.0)), lam_mu, lam_sigma, alpha)
+            for mu, s2 in zip(rng.normal(m.xi, 3.0, 20).tolist(),
+                              np.exp(rng.uniform(-4.0, 4.0, 20)).tolist()):
+                assert nig_log_density(m, mu, s2) == inline(m, mu, s2), (m, mu, s2)

@@ -29,6 +29,7 @@ from bayesdesk.distributions import mean as dist_mean
 from bayesdesk.distributions import mode as dist_mode
 from bayesdesk.distributions import variance as dist_variance
 from bayesdesk.errors import NumericalError
+from bayesdesk.special import log_beta, log_gamma
 
 
 def _scipy_of(d):
@@ -332,3 +333,64 @@ class TestValidationAndMeta:
         assert support(Beta(2.0, 2.0)) == (0.0, 1.0)
         assert support(Gamma(2.0, 2.0)) == (0.0, math.inf)
         assert support(Binomial(7, 0.5)) == (0, 7)
+
+
+class TestCachedLogNormaliser:
+    """log_density reads each family's parameter-only term from a lazy cache.
+
+    The inline formulas below are the ones log_density evaluated before the
+    term was cached; the cached route must give the same bits.
+    """
+
+    @staticmethod
+    def _inline(d, x):
+        if isinstance(d, Gamma):
+            a, b = d.shape, d.rate
+            return a * math.log(b) - log_gamma(a) + (a - 1.0) * math.log(x) - b * x
+        if isinstance(d, InverseGamma):
+            a, s = d.shape, d.scale
+            return a * math.log(s) - log_gamma(a) - (a + 1.0) * math.log(x) - s / x
+        if isinstance(d, Beta):
+            a, b = d.a, d.b
+            return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_beta(a, b)
+        t = (x - d.location) / d.scale
+        half = 0.5 * (d.df + 1.0)
+        return (log_gamma(half) - log_gamma(0.5 * d.df)
+                - 0.5 * math.log(d.df * math.pi) - math.log(d.scale)
+                - half * math.log1p(t * t / d.df))
+
+    @pytest.mark.parametrize("family", ["Gamma", "InverseGamma", "Beta", "StudentT"])
+    def test_bits_match_the_inline_formula(self, family):
+        rng = np.random.default_rng(1909)
+        for _ in range(200):
+            p, q = np.exp(rng.uniform(-3.0, 5.0, 2))
+            if family == "Gamma":
+                d, xs = Gamma(p, q), rng.gamma(2.0, 1.0, 20)
+            elif family == "InverseGamma":
+                d, xs = InverseGamma(p, q), rng.gamma(2.0, 1.0, 20)
+            elif family == "Beta":
+                d, xs = Beta(p, q), rng.uniform(0.0, 1.0, 20)
+            else:
+                d, xs = StudentT(p, float(rng.normal(0.0, 10.0)), q), rng.normal(0.0, 30.0, 20)
+            for x in xs.tolist():
+                assert log_density(d, x) == self._inline(d, x), (d, x)
+
+    def test_beta_edges_use_the_same_normaliser(self):
+        for a, b in ((1.0, 2.5), (1.0, 1.0), (0.3, 1.0)):
+            d = Beta(a, b)
+            want = -log_beta(a, b)
+            if a == 1.0:
+                assert log_density(d, 0.0) == want
+            if b == 1.0:
+                assert log_density(d, 1.0) == want
+
+    def test_computed_once_and_only_when_needed(self, monkeypatch):
+        import bayesdesk.distributions as dists
+        calls = []
+        monkeypatch.setattr(dists, "log_gamma", lambda v: calls.append(v) or math.lgamma(v))
+        d = Gamma(2.5, 1.5)
+        assert log_density(d, -1.0) == -math.inf
+        assert calls == []  # outside the support the term is never needed
+        for x in (0.5, 1.0, 2.0):
+            log_density(d, x)
+        assert calls == [2.5]
