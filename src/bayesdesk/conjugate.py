@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import Beta, Distribution, Gamma, Normal
 from .distributions import mean as dist_mean
 from .distributions import mode as dist_mode
-from .errors import ImproperPosteriorError
+from .errors import ImproperPosteriorError, NumericalError
 from .hpd import GridDensity
 from .special import log_gamma
 
@@ -229,13 +229,25 @@ def update_normal_known_var(
 
 
 def update_normal_inverse_gamma(m: NormalInvGammaModel, stats: SummaryStats) -> NormalInvGammaModel:
-    """Closed-form normal-inverse-gamma update from summary statistics."""
+    """Closed-form normal-inverse-gamma update from summary statistics.
+
+    Raises NumericalError when the posterior alpha overflows float range.
+    """
     n = stats.n
     xbar = stats.mean
     lam_mu = m.lam_mu + n
     xi = (m.lam_mu * m.xi + n * xbar) / lam_mu
     lam_sigma = m.lam_sigma + n / 2.0
-    alpha = m.alpha + stats.sum_sq_dev + (n * m.lam_mu / lam_mu) * (xbar - m.xi) ** 2
+    alpha = m.alpha + stats.sum_sq_dev
+    if m.lam_mu != 0:
+        # the prior-data disagreement term; a flat mean prior gives it weight 0
+        try:
+            alpha += (n * m.lam_mu / lam_mu) * (xbar - m.xi) ** 2
+        except OverflowError:
+            alpha = math.inf
+    if not math.isfinite(alpha):
+        raise NumericalError(
+            "the posterior alpha (prior alpha + ssd + prior-data term) overflows float range")
     if lam_sigma <= 0 or alpha <= 0:
         raise ImproperPosteriorError(
             f"posterior is improper: lam_sigma={lam_sigma!r}, alpha={alpha!r}")

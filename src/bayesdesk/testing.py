@@ -336,7 +336,8 @@ def bf_by_quadrature(m0: MarginalSpec, m1: MarginalSpec, x: float) -> float:
 
     Both marginal specs carry their own likelihood and prior; point-mass
     priors skip quadrature. Improper priors raise rather than silently
-    picking a normalization. A Bayes factor past float range is inf.
+    picking a normalization. A Bayes factor past float range is inf; a
+    marginal that comes out as zero raises NumericalError.
     """
     return _bf_from_log(_log_bf_by_quadrature(m0, m1, x))
 
@@ -347,6 +348,10 @@ def _log_bf_by_quadrature(m0: MarginalSpec, m1: MarginalSpec, x: float) -> float
         raise NumericalError(
             "the null marginal underflows to zero at x, so the Bayes factor overflows")
     lm1 = _log_marginal(m1, float(x))
+    if lm1 == -math.inf:
+        raise NumericalError(
+            "the alternative marginal underflows to zero at x (quadrature found no mass "
+            "under its prior), so the Bayes factor underflows")
     if math.isnan(lm0) or math.isnan(lm1) or math.inf in (lm0, lm1):
         raise NumericalError(
             f"marginal likelihoods must be finite, got log m0={lm0!r}, log m1={lm1!r}")

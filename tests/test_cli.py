@@ -521,6 +521,33 @@ class TestOutputContract:
         else:
             assert out == "" and named in err
 
+    @pytest.mark.parametrize("argv", [
+        "estimate --model normal-inv-gamma --stats n=10,mean=1e200,ssd=1",
+        "predict --stats n=10,mean=1e200,ssd=1",
+        "hpd --model normal-jeffreys --stats n=10,mean=1e200,ssd=1 --sample 100 --alpha 0.9",
+        "estimate --model normal-inv-gamma --stats n=10,mean=1e200,ssd=1 --prior-lam-mu 1",
+        "predict --stats n=10,mean=1,ssd=1e308 --prior-alpha 1e308",
+    ], ids=["estimate-flat", "predict-flat", "hpd-jeffreys", "estimate-lam-mu", "predict-alpha"])
+    def test_nig_update_far_from_unit_scale(self, capsys, argv):
+        # (xbar - xi)^2 leaves float range: a flat mean prior never needs it, and
+        # an overflowing posterior alpha is a numerical error, not a traceback
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv.split())
+        assert code in (0, 2, 3) and "Traceback" not in err and caught == []
+        if "--prior-" in argv:
+            assert (code, out) == (3, "") and "overflows float range" in err
+        else:
+            assert code == 0 and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+
+    def test_quadrature_missing_the_slab_mass_exits_3(self, capsys):
+        # a likelihood spike of width 1e-5 that quadrature misses is not a zero
+        # Bayes factor: it exits 3 and says why
+        code, out, err = run(capsys, "test", "--point-null", "--x", "1", "--sigma", "1e-5",
+                             "--tau", "1", "--quadrature")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical error: the alternative marginal underflows to zero")
+
     def test_huge_data_on_explicit_grid_is_finite(self, capsys):
         # log1p((x - mu)^2) is 2 log(1e308) per datum, finite though (x - mu)^2 is not
         with warnings.catch_warnings(record=True) as caught:

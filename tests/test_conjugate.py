@@ -24,7 +24,7 @@ from bayesdesk.conjugate import (
     update_normal_known_var,
 )
 from bayesdesk.distributions import Beta, Gamma, Normal
-from bayesdesk.errors import ImproperPosteriorError
+from bayesdesk.errors import ImproperPosteriorError, NumericalError
 from bayesdesk.hpd import GridDensity
 from bayesdesk.special import log_gamma
 
@@ -288,3 +288,15 @@ class TestCachedNigTerm:
             for mu, s2 in zip(rng.normal(m.xi, 3.0, 20).tolist(),
                               np.exp(rng.uniform(-4.0, 4.0, 20)).tolist()):
                 assert nig_log_density(m, mu, s2) == inline(m, mu, s2), (m, mu, s2)
+
+
+class TestNigUpdateFarFromUnitScale:
+    def test_flat_mean_prior_skips_the_disagreement_term(self):
+        post = jeffreys_normal_posterior(SummaryStats(10, 1e200, 1.0))
+        assert (post.xi, post.alpha) == (1e200, 1.0)
+
+    def test_overflowing_alpha_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflows float range"):
+            update_normal_inverse_gamma(NormalInvGammaModel(lam_mu=1.0), SummaryStats(10, 1e200, 1.0))
+        with pytest.raises(NumericalError, match="overflows float range"):
+            update_normal_inverse_gamma(NormalInvGammaModel(alpha=1e308), SummaryStats(10, 0.0, 1e308))

@@ -380,6 +380,15 @@ class TestModelPosteriorProbs:
 
 
 class TestNumericalFailureSurfaces:
+    def test_slab_marginal_with_no_mass_found(self):
+        # a likelihood spike of width 1e-5 that the quadrature pieces miss
+        def spike_log_lik(theta, x):
+            return float(st.norm.logpdf(x, theta, 1e-5))
+        with pytest.raises(NumericalError, match="alternative marginal underflows"):
+            bf_by_quadrature(
+                MarginalSpec(spike_log_lik, PointMass(0.0)),
+                MarginalSpec(spike_log_lik, Normal(0.0, 1.0)), 1.0)
+
     def test_diverging_null_marginal(self):
         # a likelihood that blows up under the point mass cannot be ratioed
         def bad_log_lik(theta, x):
