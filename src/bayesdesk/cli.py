@@ -403,10 +403,12 @@ def _emit(args, payload: dict, table: Table | None) -> None:
             table = Table(["key", "value"], _flatten(payload))
         table.write_csv(sys.stdout)
         return
-    # text: self-describing header with the resolved settings the subcommand takes
+    # text: self-describing header with the resolved settings the subcommand takes;
+    # the seed only where the run drew a sample, which records it in the payload
     print(f"# bayesdesk {args.command}")
     settings = [f"{name}={_text_scalar(getattr(args, name))}"
-                for name in ("alpha", "grid_points", "seed") if hasattr(args, name)]
+                for name in ("alpha", "grid_points", "seed")
+                if hasattr(args, name) and (name != "seed" or "seed" in payload)]
     if settings:
         print("# settings: " + " ".join(settings))
     # a list that the table shows is not repeated as key: value lines

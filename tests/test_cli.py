@@ -388,6 +388,14 @@ class TestOutputContract:
         assert lines[0] == "# bayesdesk test"
         assert not any(line.startswith("# settings") for line in lines)
 
+    def test_text_header_prints_seed_only_for_a_sample(self, capsys):
+        _, out, _ = run(capsys, "hpd", "--model", "beta-binomial", "--successes", "3",
+                        "--trials", "9")
+        assert out.splitlines()[1] == "# settings: alpha=0.05 grid_points=4001"
+        _, out, _ = run(capsys, "hpd", "--model", "normal-jeffreys", "--stats",
+                        "n=10,mean=0,ssd=1", "--sample", "50", "--seed", "7")
+        assert out.splitlines()[1] == "# settings: alpha=0.05 grid_points=4001 seed=7"
+
     def test_csv_format_is_key_value(self, capsys):
         _, out, _ = run(capsys, "estimate", "--model", "beta-binomial",
                         "--successes", "38", "--trials", "58", "--format", "csv")
