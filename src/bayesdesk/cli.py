@@ -8,9 +8,9 @@ plot-ready density grids and sweeps written as side CSV files on request.
 Each flag is declared once, in the `_FLAGS` registry; `_SUBCOMMANDS` lists,
 per subcommand, its handler and the flags it takes, in help order. The
 conjugate models that both `estimate` and `hpd` offer are built by one
-function each, found through the `_CONJUGATE` model table. Report tables,
-`--format csv` output and side-file tables are all written by
-`Table.write_csv`.
+function each, found through the `_CONJUGATE` model table. Every CSV input
+is read by `_read_csv`; report tables, `--format csv` output and side-file
+tables are all written by `Table.write_csv`.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure
 (improper posterior, banned improper prior, rank deficiency, unreachable
@@ -26,7 +26,7 @@ import functools
 import math
 import os
 import sys
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,27 +80,26 @@ __all__ = [
 
 OUT_DIR_ENV = "BAYESDESK_OUT_DIR"
 
-# flags whose comma-list values may start with a minus sign, which argparse
-# would otherwise read as an unknown option
-_LIST_VALUE_FLAGS = ("--data", "--counts", "--exposures", "--sweep-tau")
-
 
 # ---------------------------------------------------------------------------
 # parsing helpers
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _floats(cells: list[str], where: str) -> list[float]:
+    """Each cell as a float; the first that is not a number is named after `where`."""
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise ValueError(f"{flag}: empty entry in {text!r}")
+    for cell in cells:
         try:
-            out.append(float(piece))
+            out.append(float(cell))
         except ValueError:
-            raise ValueError(f"{flag}: could not parse {piece!r} as a number") from None
-    if not out:
-        raise ValueError(f"{flag}: no values given")
+            raise ValueError(f"{where}: could not parse {cell!r} as a number") from None
     return out
+
+
+def _parse_float_list(text: str, flag: str) -> list[float]:
+    pieces = [piece.strip() for piece in text.split(",")]
+    if "" in pieces:
+        raise ValueError(f"{flag}: empty entry in {text!r}")
+    return _floats(pieces, flag)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -138,23 +137,19 @@ def _parse_stats(text: str) -> SummaryStats:
 
 
 def _preprocess_argv(argv: list[str]) -> list[str]:
-    """Join list-valued flags with a following negative-number token.
+    """Join a flag that takes a value with a following negative-number token.
 
-    `--data -4.3,3.2` becomes `--data=-4.3,3.2`; without this argparse
-    reads the value as an option string.
+    `--x -1e3` becomes `--x=-1e3` and `--data -4.3,3.2` becomes
+    `--data=-4.3,3.2`; without this argparse reads the value as an option
+    string whenever its own negative-number pattern misses it.
     """
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _LIST_VALUE_FLAGS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1
-                and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if (out and "action" not in _FLAGS.get(out[-1], {"action": None})
+                and tok.startswith("-") and (tok[1:2].isdigit() or tok[1:2] == ".")):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -164,112 +159,95 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
 _CONTINGENCY_COLUMNS = ("stratum", "group", "survived", "total")
 
 
-def _open_reader(path: str) -> tuple[csv.DictReader, object]:
-    fh = open(path, "r", newline="")
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
-        fh.close()
+def _read_csv(path: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header of a CSV file and the (line number, fields) of each nonblank row.
+
+    Header names must be unique. The rows are checked as they are iterated,
+    so a caller's header checks run first: each row must have as many fields
+    as the header, and a file without one raises "no data rows" at the end.
+    """
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        records = [(reader.line_num, fields) for fields in reader if fields]
+    if header is None:
         raise ValueError(f"{path}: no data rows")
-    return reader, fh
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}: line 1: duplicate column name {repeated[0]!r}")
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for line, fields in records:
+            if len(fields) != len(header):
+                raise ValueError(f"{path}: line {line}: expected {len(header)} fields")
+            yield line, fields
+        if not records:
+            raise ValueError(f"{path}: no data rows")
+    return header, rows()
 
 
 def _read_contingency(path: str) -> list[dict]:
     """Rows of the contingency schema: stratum,group,survived,total."""
-    reader, fh = _open_reader(path)
-    with fh:
-        names = tuple(reader.fieldnames)
-        if sorted(names) != sorted(_CONTINGENCY_COLUMNS):
+    names, rows = _read_csv(path)
+    if sorted(names) != sorted(_CONTINGENCY_COLUMNS):
+        raise ValueError(
+            f"{path}: line 1: expected columns {','.join(_CONTINGENCY_COLUMNS)}, "
+            f"got {','.join(names)}")
+    out = []
+    for line, fields in rows:
+        row = dict(zip(names, fields))
+        try:
+            survived = int(row["survived"])
+            total = int(row["total"])
+        except ValueError:
             raise ValueError(
-                f"{path}: line 1: expected columns {','.join(_CONTINGENCY_COLUMNS)}, "
-                f"got {','.join(names)}")
-        rows = []
-        for row in reader:
-            line = reader.line_num
-            if any(v is None for v in row.values()) or None in row:
-                raise ValueError(f"{path}: line {line}: expected {len(names)} fields")
-            try:
-                survived = int(row["survived"])
-                total = int(row["total"])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line}: survived and total must be integers, "
-                    f"got {row['survived']!r}, {row['total']!r}") from None
-            if survived < 0 or total <= 0:
-                raise ValueError(
-                    f"{path}: line {line}: need survived >= 0 and total > 0")
-            rows.append({"stratum": row["stratum"], "group": row["group"],
-                         "survived": survived, "total": total})
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return rows
+                f"{path}: line {line}: survived and total must be integers, "
+                f"got {row['survived']!r}, {row['total']!r}") from None
+        if survived < 0 or total <= 0:
+            raise ValueError(
+                f"{path}: line {line}: need survived >= 0 and total > 0")
+        out.append({**row, "survived": survived, "total": total})
+    return out
 
 
 def _read_numeric_column(path: str, column: str | None) -> tuple[np.ndarray, str]:
-    reader, fh = _open_reader(path)
-    with fh:
-        names = list(reader.fieldnames)
-        if column is None:
-            if len(names) != 1:
-                raise ValueError(
-                    f"{path}: multiple columns ({', '.join(names)}); pick one with --column")
-            column = names[0]
-        if column not in names:
+    names, rows = _read_csv(path)
+    if column is None:
+        if len(names) != 1:
             raise ValueError(
-                f"{path}: column {column!r} not found (have: {', '.join(names)})")
-        values = []
-        for row in reader:
-            line = reader.line_num
-            raw = row.get(column)
-            if raw is None:
-                raise ValueError(f"{path}: line {line}: missing value for {column!r}")
-            try:
-                values.append(float(raw))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line}: could not parse {raw!r} as a number") from None
-    if not values:
-        raise ValueError(f"{path}: no data rows")
+                f"{path}: multiple columns ({', '.join(names)}); pick one with --column")
+        column = names[0]
+    if column not in names:
+        raise ValueError(
+            f"{path}: column {column!r} not found (have: {', '.join(names)})")
+    at = names.index(column)
+    values = []
+    for line, fields in rows:
+        values += _floats([fields[at]], f"{path}: line {line}")
     return np.asarray(values, dtype=float), column
 
 
 def _read_regression(path: str, response: str, add_intercept: bool) -> RegressionData:
-    reader, fh = _open_reader(path)
-    with fh:
-        names = list(reader.fieldnames)
-        if response not in names:
-            raise ValueError(
-                f"{path}: response column {response!r} not found (have: {', '.join(names)})")
-        predictors = [c for c in names if c != response]
-        if add_intercept and "Intercept" in predictors:
-            raise ValueError(
-                f"{path}: column 'Intercept' collides with the automatic intercept; "
-                "rename it or pass --no-intercept")
-        x_rows = []
-        y_vals = []
-        for row in reader:
-            line = reader.line_num
-            if any(row.get(c) is None for c in names):
-                raise ValueError(f"{path}: line {line}: expected {len(names)} fields")
-            try:
-                y_vals.append(float(row[response]))
-                x_rows.append([float(row[c]) for c in predictors])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line}: all values must be numeric") from None
-    if not y_vals:
-        raise ValueError(f"{path}: no data rows")
-    y = np.asarray(y_vals, dtype=float)
-    if predictors:
-        X = np.asarray(x_rows, dtype=float)
-    else:
-        X = np.empty((y.size, 0))
-    columns = list(predictors)
+    names, rows = _read_csv(path)
+    if response not in names:
+        raise ValueError(
+            f"{path}: response column {response!r} not found (have: {', '.join(names)})")
+    predictors = [c for c in names if c != response]
+    if add_intercept and "Intercept" in predictors:
+        raise ValueError(
+            f"{path}: column 'Intercept' collides with the automatic intercept; "
+            "rename it or pass --no-intercept")
+    table = np.asarray([_floats(fields, f"{path}: line {line}") for line, fields in rows], dtype=float)
+    # copies, not strided views: a view moves the last bits of the Bayes factors
+    at = names.index(response)
+    y = table[:, at].copy()
+    X = np.delete(table, at, axis=1)
     if add_intercept:
-        X = np.column_stack([np.ones(y.size), X]) if columns else np.ones((y.size, 1))
-        columns = ["Intercept"] + columns
-    if not columns:
+        X = np.column_stack([np.ones(y.size), X])
+        predictors = ["Intercept"] + predictors
+    if not predictors:
         raise ValueError(f"{path}: no predictor columns and --no-intercept given")
-    return RegressionData(X=X, y=y, column_names=tuple(columns))
+    return RegressionData(X=X, y=y, column_names=tuple(predictors))
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +381,13 @@ def _emit(args, payload: dict, table: Table | None) -> None:
             table = Table(["key", "value"], _flatten(payload))
         table.write_csv(sys.stdout)
         return
-    # text: self-describing header with the resolved settings the subcommand takes;
-    # the seed only where the run drew a sample, which records it in the payload
+    # text: self-describing header with the settings the run used: alpha and
+    # seed where the payload records them, grid_points where a grid was evaluated
     print(f"# bayesdesk {args.command}")
-    settings = [f"{name}={_text_scalar(getattr(args, name))}"
-                for name in ("alpha", "grid_points", "seed")
-                if hasattr(args, name) and (name != "seed" or "seed" in payload)]
+    used = {"alpha": "alpha" in payload,
+            "grid_points": "grid" in payload or "grid_csv" in payload,
+            "seed": "seed" in payload}
+    settings = [f"{name}={_text_scalar(getattr(args, name))}" for name in used if used[name]]
     if settings:
         print("# settings: " + " ".join(settings))
     # a list that the table shows is not repeated as key: value lines
@@ -507,11 +486,6 @@ def _family_payload(law) -> dict:
     return {"family": family, **{f.name: getattr(law, f.name) for f in dataclasses.fields(law)}}
 
 
-def _nig_prior(args) -> NormalInvGammaModel:
-    return NormalInvGammaModel(xi=args.prior_xi, lam_mu=args.prior_lam_mu,
-                               lam_sigma=args.prior_lam_sigma, alpha=args.prior_alpha)
-
-
 def _counts_exposures(args) -> tuple[list[int], list[float], dict]:
     if args.data_file and (args.counts or args.exposures):
         raise ValueError("give either --data-file or --counts/--exposures, not both")
@@ -567,6 +541,17 @@ def _normal_known_var(args) -> tuple[Normal, dict]:
                   "stats": _stats_payload(stats)}
 
 
+def _normal_inv_gamma(args) -> tuple[NormalInvGammaModel, dict]:
+    """The posterior of `estimate --model normal-inv-gamma` and `predict`, plus
+    their prior, data, stats and posterior report fields."""
+    stats, source = _resolve_stats(args)
+    prior = NormalInvGammaModel(xi=args.prior_xi, lam_mu=args.prior_lam_mu,
+                                lam_sigma=args.prior_lam_sigma, alpha=args.prior_alpha)
+    post = update_normal_inverse_gamma(prior, stats)
+    return post, {"prior": _family_payload(prior), "data": source,
+                  "stats": _stats_payload(stats), "posterior": _family_payload(post)}
+
+
 # model -> (builder, report fields hpd repeats). A builder checks its flags and
 # returns the posterior plus the report fields of `estimate`, in payload order.
 _CONJUGATE = {
@@ -582,34 +567,27 @@ _CONJUGATE = {
 def cmd_estimate(args) -> tuple[dict, Table | None]:
     payload: dict = {"command": "estimate", "model": args.model}
     if args.model == "normal-inv-gamma":
-        stats, source = _resolve_stats(args)
-        prior = _nig_prior(args)
-        post = update_normal_inverse_gamma(prior, stats)
-        payload["prior"] = _family_payload(prior)
-        payload["data"] = source
-        payload["stats"] = _stats_payload(stats)
-        payload["posterior"] = _family_payload(post)
+        post, fields = _normal_inv_gamma(args)
+        payload.update(fields)
         payload["mu_posterior_mean"] = post.xi
         payload["sigma_sq_posterior_mean"] = (
             (0.5 * post.alpha) / (post.lam_sigma - 1.0) if post.lam_sigma > 1.0 else None)
         payload["joint_map"] = {"mu": post.xi,
                                 "sigma_sq": (0.5 * post.alpha) / (post.lam_sigma + 1.5)}
-        mu_marginal = StudentT(df=2.0 * post.lam_sigma, location=post.xi,
-                               scale=math.sqrt(post.alpha / (2.0 * post.lam_sigma * post.lam_mu)))
-        payload["mu_marginal"] = _family_payload(mu_marginal)
-        if args.grid_csv:
-            _write_side_file(args, "grid_csv", payload, _log_density_grid(mu_marginal, args))
-        return payload, None
-    build, _ = _CONJUGATE[args.model]
-    post, fields = build(args)
-    payload.update(fields)
-    payload["posterior"] = _family_payload(post)
-    payload["posterior_mean"] = posterior_mean(post)
-    est = map_estimate(post)
-    payload["map_estimate"] = est.value
-    payload["map_at_boundary"] = est.at_boundary
+        law = StudentT(df=2.0 * post.lam_sigma, location=post.xi,
+                       scale=math.sqrt(post.alpha / (2.0 * post.lam_sigma * post.lam_mu)))
+        payload["mu_marginal"] = _family_payload(law)
+    else:
+        build, _ = _CONJUGATE[args.model]
+        law, fields = build(args)
+        payload.update(fields)
+        payload["posterior"] = _family_payload(law)
+        payload["posterior_mean"] = posterior_mean(law)
+        est = map_estimate(law)
+        payload["map_estimate"] = est.value
+        payload["map_at_boundary"] = est.at_boundary
     if args.grid_csv:
-        _write_side_file(args, "grid_csv", payload, _log_density_grid(post, args))
+        _write_side_file(args, "grid_csv", payload, _log_density_grid(law, args))
     return payload, None
 
 
@@ -776,25 +754,15 @@ def cmd_regress(args) -> tuple[dict, Table | None]:
                   legend=EVIDENCE_LEGEND)
     if args.report_csv:
         report = Table(["name", "estimate", "bf10", "log10_bf10", "label"],
-                       [[r.name, r.estimate, r.bf10, r.log10_bf10, r.label]
-                        for r in summary.rows])
+                       [list(row.values()) for row in payload["rows"]])
         _write_side_file(args, "report_csv", payload, report)
     return payload, table
 
 
 def cmd_predict(args) -> tuple[dict, Table | None]:
-    stats, source = _resolve_stats(args)
-    prior = _nig_prior(args)
-    post = update_normal_inverse_gamma(prior, stats)
+    post, fields = _normal_inv_gamma(args)
     pred = predictive_from_posterior(post).to_distribution()
-    payload = {
-        "command": "predict",
-        "prior": _family_payload(prior),
-        "data": source,
-        "stats": _stats_payload(stats),
-        "posterior": _family_payload(post),
-        "predictive": _family_payload(pred),
-    }
+    payload = {"command": "predict", **fields, "predictive": _family_payload(pred)}
     if args.grid_csv:
         _write_side_file(args, "grid_csv", payload, _log_density_grid(pred, args))
     return payload, None
@@ -818,8 +786,7 @@ def cmd_outliers(args) -> tuple[dict, Table | None]:
     table = Table(columns, [[r.index, format(r.value, ".6g"), format(r.loo_cdf, ".6f"),
                              r.flagged, r.degenerate] for r in report.rows])
     if args.report_csv:
-        report_table = Table(columns, [[r.index, r.value, r.loo_cdf, r.flagged, r.degenerate]
-                                       for r in report.rows])
+        report_table = Table(columns, [list(row.values()) for row in payload["rows"]])
         _write_side_file(args, "report_csv", payload, report_table)
     return payload, table
 

@@ -378,11 +378,16 @@ class TestOutputContract:
                         "--sigma", "1", "--tau-sq", "10", "--format", "json")
         assert "0.36650633769830504" in out
 
-    def test_text_header_lists_defaults(self, capsys):
+    def test_text_header_lists_defaults(self, capsys, tmp_path):
+        # grid_points only where the run evaluates a grid
         _, out, _ = run(capsys, "estimate", "--model", "beta-binomial",
                         "--successes", "38", "--trials", "58")
         lines = out.splitlines()
-        assert lines[:2] == ["# bayesdesk estimate", "# settings: grid_points=4001"]
+        assert lines[0] == "# bayesdesk estimate"
+        assert not any(line.startswith("# settings") for line in lines)
+        _, out, _ = run(capsys, "estimate", "--model", "beta-binomial", "--successes", "38",
+                        "--trials", "58", "--grid-csv", "g.csv", "--out-dir", str(tmp_path))
+        assert out.splitlines()[:2] == ["# bayesdesk estimate", "# settings: grid_points=4001"]
         _, out, _ = run(capsys, "test", "--point-null", "--x", "1.96", "--tau", "3")
         lines = out.splitlines()
         assert lines[0] == "# bayesdesk test"
@@ -394,7 +399,31 @@ class TestOutputContract:
         assert out.splitlines()[1] == "# settings: alpha=0.05 grid_points=4001"
         _, out, _ = run(capsys, "hpd", "--model", "normal-jeffreys", "--stats",
                         "n=10,mean=0,ssd=1", "--sample", "50", "--seed", "7")
-        assert out.splitlines()[1] == "# settings: alpha=0.05 grid_points=4001 seed=7"
+        assert out.splitlines()[1] == "# settings: alpha=0.05 seed=7"
+
+    @pytest.mark.parametrize("argv", [
+        ("test", "--point-null", "--x", "-1e3", "--tau", "1"),
+        ("test", "--point-null", "--x", "1", "--tau", "1", "--theta0", "-2e0"),
+        ("test", "--point-null", "--x", "1", "--tau", "1", "--rho", "-5e-1"),
+        ("test", "--point-null", "--x", "1", "--sigma", "-1e0", "--tau", "1"),
+        ("estimate", "--model", "normal-known-var", "--stats", "n=3,mean=0,ssd=1",
+         "--prior-lam", "1", "--prior-xi", "-1e300"),
+        ("predict", "--stats", "n=10,mean=0,ssd=1", "--prior-xi", "-1e3", "--prior-lam-mu", "1",
+         "--prior-lam-sigma", "1", "--prior-alpha", "1"),
+        ("hpd", "--model", "cauchy-normal", "--prior-var", "10", "--data", "-4.3,3.2",
+         "--grid-min", "-1e1", "--grid-max", "1e1"),
+        ("estimate", "--model", "beta-binomial", "--successes", "3", "--trials", "9",
+         "--grid-csv", "g.csv", "--grid-min", "-1e-3", "--grid-max", "1"),
+        ("hpd", "--model", "gamma-poisson", "--prior-shape", "1", "--prior-rate", "2",
+         "--counts", "-1", "--exposures", "1"),
+    ], ids=["x", "theta0", "rho", "sigma", "prior-xi", "predict-prior-xi", "grid-min",
+            "grid-min-small", "counts"])
+    def test_negative_value_after_a_space_reads_as_after_equals(self, capsys, tmp_path, argv):
+        flag = max(i for i, tok in enumerate(argv) if tok.startswith("-") and tok[1:2].isdigit())
+        joined = (*argv[:flag - 1], f"{argv[flag - 1]}={argv[flag]}", *argv[flag + 1:])
+        runs = [run(capsys, *form, "--out-dir", str(tmp_path)) for form in (argv, joined)]
+        assert runs[0] == runs[1]
+        assert "expected one argument" not in runs[0][2]
 
     def test_csv_format_is_key_value(self, capsys):
         _, out, _ = run(capsys, "estimate", "--model", "beta-binomial",
