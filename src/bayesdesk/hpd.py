@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 4001
+_SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest |mu| whose square is finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +120,10 @@ def cauchy_normal_log_posterior(
         if not hi - lo <= (points - 1) * scale:  # also when the span overflows
             raise ValueError(f"default grid [{lo:g}, {hi:g}] for data in [{arr.min():g}, "
                              f"{arr.max():g}] spaces points over the prior sd {scale:g} apart")
+        if max(-lo, hi) > _SQRT_MAX:
+            raise ValueError(f"default grid [{lo:g}, {hi:g}] for prior_variance "
+                             f"{prior_variance:g} reaches past |mu| = {_SQRT_MAX:.3g}, where "
+                             "mu^2 leaves float range; give the grid explicitly")
         xs = np.linspace(lo, hi, points)
     else:
         xs = np.asarray(grid, dtype=float)
@@ -125,8 +131,10 @@ def cauchy_normal_log_posterior(
     dev = np.abs(arr[np.newaxis, :] - xs[:, np.newaxis])
     log1p_sq = np.where(dev > 1e150, 2.0 * np.log(np.maximum(dev, 1e150)),
                        np.log1p(np.square(np.minimum(dev, 1e150))))
-    with np.errstate(over="ignore"):  # an explicit grid past 1e154 has prior density 0
-        log_vals = -xs * xs / (2.0 * prior_variance) - np.sum(log1p_sq, axis=1)
+    # an explicit grid past 1e154 has prior density 0; halving before the division
+    # keeps 2 * prior_variance from overflowing, with the same bits otherwise
+    with np.errstate(over="ignore"):
+        log_vals = (-xs * xs / 2.0) / prior_variance - np.sum(log1p_sq, axis=1)
     return GridDensity(xs, log_vals)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conjugate import SummaryStats, jeffreys_normal_posterior, NormalInvGammaModel
 from .distributions import StudentT, cdf as dist_cdf, log_density as dist_log_density
-from .errors import ImproperPosteriorError
+from .errors import ImproperPosteriorError, NumericalError
 
 __all__ = [
     "PredictiveT",
@@ -94,6 +94,14 @@ def _check_data(data: Sequence[float]) -> np.ndarray:
         raise ValueError(f"leave-one-out prediction needs at least 3 points, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("data must be finite")
+    # Checked once for the whole sample: no leave-one-out subsample has a larger
+    # sum of squared deviations. Scaling by the largest |x| keeps the check
+    # itself from overflowing.
+    scale = float(np.max(np.abs(arr)))
+    unit = arr / scale if scale else arr
+    if float(np.sum((unit - unit.mean()) ** 2)) * scale * scale == math.inf:
+        raise NumericalError(f"the sum of squared deviations of the data passes float range "
+                             f"(largest |x| = {scale:g})")
     return arr
 
 

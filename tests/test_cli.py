@@ -502,16 +502,27 @@ class TestOutputContract:
          "--sigma-sq must be finite"),
         (("test", "--one-sided", "--x", "inf"), "--x must be finite"),
         (("test", "--point-null", "--x", "nan", "--tau", "1"), "--x must be finite"),
+        (("hpd", "--model", "cauchy-normal", "--prior-var", "1e308", "--data", "-3,1e-320"),
+         "prior_variance 1e+308 reaches past |mu| = 1.34e+154"),
     ], ids=["outliers-two-sources", "sweep-tau", "grid-points-negative", "grid-points-2",
             "cauchy-huge-data", "cauchy-huge-spread", "sweep-tau-infinite", "prior-var-inf",
             "tau-zero", "tau-negative", "tau-inf", "sigma-zero", "sigma-sq-inf",
-            "one-sided-x-inf", "x-nan"])
+            "one-sided-x-inf", "x-nan", "cauchy-default-grid-past-sqrt-max"])
     def test_bad_input_exits_2_naming_it(self, capsys, tmp_path, argv, named):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
         assert code == 2
         assert named in err
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("data", ["10,1e308,1", "1e200,1,2,3"])
+    def test_outlier_spread_past_float_range_exits_3(self, capsys, data):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "outliers", "--data", data)
+        assert (code, out) == (3, "")
+        assert "sum of squared deviations of the data passes float range" in err
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("argv", [

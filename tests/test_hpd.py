@@ -1,6 +1,7 @@
 """Grid densities and highest-density credible regions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,26 @@ class TestCauchyNormalPosterior:
             cauchy_normal_log_posterior([], 1.0)
         with pytest.raises(ValueError):
             cauchy_normal_log_posterior([1.0], 0.0)
+
+    def test_prior_term_halves_before_dividing_with_the_same_bits(self):
+        # (-x*x/2)/v and -x*x/(2v) each round once unless x*x/2 is subnormal or
+        # 2v overflows, so they agree bit for bit on every other input
+        rng = np.random.default_rng(24)
+        xs = rng.standard_normal(20000) * 10.0 ** rng.uniform(-150, 145, 20000)
+        v = 10.0 ** rng.uniform(-8, 308.2, 20000)
+        with np.errstate(over="ignore"):
+            twice_v = 2.0 * v
+        ok = (xs * xs / 2.0 >= np.finfo(float).tiny) & (twice_v < np.inf)
+        assert ok.sum() > 15000
+        assert np.array_equal((-xs * xs / 2.0)[ok] / v[ok], (-xs * xs)[ok] / twice_v[ok])
+
+    def test_prior_variance_near_max_float_warns_nowhere(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"mu\^2 leaves float range"):
+                cauchy_normal_log_posterior([-3.0, 1e-320], 1e308)
+            g = cauchy_normal_log_posterior([1.0, 2.0], 1e308, np.linspace(-1e155, 1e155, 5))
+        assert g.log_vals[0] == -math.inf and math.isfinite(g.log_vals[2])
 
 
 class TestHpdFromGrid:

@@ -1,6 +1,7 @@
 """Posterior predictive distribution and leave-one-out outlier screening."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.integrate as si
 import scipy.stats as st
 
 from bayesdesk.conjugate import NormalInvGammaModel, SummaryStats, update_normal_inverse_gamma
-from bayesdesk.errors import ImproperPosteriorError
+from bayesdesk.errors import ImproperPosteriorError, NumericalError
 from bayesdesk.predictive import (
     OutlierReport,
     PredictiveT,
@@ -194,3 +195,12 @@ class TestDetectOutliers:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             detect_outliers(np.array([1.0, 2.0]), 0.95)
+
+    def test_spread_past_float_range_is_a_numerical_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="sum of squared deviations"):
+                detect_outliers([10.0, 1e308, 1.0], 0.95)
+            # the check scales by the largest |x|, so large equal values still pass
+            report = detect_outliers([6e307, 6e307, 6e307], 0.95)
+        assert all(row.degenerate for row in report.rows)
