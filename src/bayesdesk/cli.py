@@ -145,7 +145,7 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for tok in argv:
-        if (out and "action" not in _FLAGS.get(out[-1], {"action": None})
+        if (out and out[-1] in _FLAGS and "action" not in _FLAGS[out[-1]]
                 and tok.startswith("-") and (tok[1:2].isdigit() or tok[1:2] == ".")):
             out[-1] = f"{out[-1]}={tok}"
         else:
@@ -221,9 +221,7 @@ def _read_numeric_column(path: str, column: str | None) -> tuple[np.ndarray, str
         raise ValueError(
             f"{path}: column {column!r} not found (have: {', '.join(names)})")
     at = names.index(column)
-    values = []
-    for line, fields in rows:
-        values += _floats([fields[at]], f"{path}: line {line}")
+    values = [_floats([fields[at]], f"{path}: line {line}")[0] for line, fields in rows]
     return np.asarray(values, dtype=float), column
 
 
@@ -237,7 +235,8 @@ def _read_regression(path: str, response: str, add_intercept: bool) -> Regressio
         raise ValueError(
             f"{path}: column 'Intercept' collides with the automatic intercept; "
             "rename it or pass --no-intercept")
-    table = np.asarray([_floats(fields, f"{path}: line {line}") for line, fields in rows], dtype=float)
+    table = np.asarray([_floats(fields, f"{path}: line {line}") for line, fields in rows],
+                       dtype=float)
     # copies, not strided views: a view moves the last bits of the Bayes factors
     at = names.index(response)
     y = table[:, at].copy()
