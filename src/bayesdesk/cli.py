@@ -164,7 +164,7 @@ def _read_csv(path: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
 
     Header names must be unique. The rows are checked as they are iterated,
     so a caller's header checks run first: each row must have as many fields
-    as the header, and a file without one raises "no data rows" at the end.
+    as the header, and a file with no rows raises "no data rows" at the end.
     """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
