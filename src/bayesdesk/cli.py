@@ -50,9 +50,10 @@ from .errors import NumericalError
 from .hpd import (
     DEFAULT_GRID_POINTS,
     GridDensity,
+    _sample_keep_mask,
+    _write_csv_rows,
     cauchy_normal_log_posterior,
     hpd_from_grid,
-    hpd_from_sample,
     normalize,
 )
 from .predictive import detect_outliers, predictive_from_posterior
@@ -356,8 +357,8 @@ def _csv_scalar(v) -> str:
     return str(v)
 
 
-def _write_side_file(args, key: str, payload: dict, content: Table | GridDensity) -> None:
-    """Write `content` to the file that flag --<key> names; record the path under `key`.
+def _write_side_file(args, key: str, payload: dict, write: Callable[[str], None]) -> None:
+    """Call `write` on the file that flag --<key> names; record the path under `key`.
 
     A relative name is placed under --out-dir, else $BAYESDESK_OUT_DIR, else
     the working directory.
@@ -367,7 +368,7 @@ def _write_side_file(args, key: str, payload: dict, content: Table | GridDensity
     if base and not os.path.isabs(path):
         os.makedirs(base, exist_ok=True)
         path = os.path.join(base, path)
-    content.to_csv(path)
+    write(path)
     payload[key] = path
 
 
@@ -470,7 +471,7 @@ def _grid_for(dist, args) -> np.ndarray:
 
 def _log_density_grid(dist, args) -> GridDensity:
     xs = _grid_for(dist, args)
-    log_vals = np.array([log_density(dist, x) for x in xs])
+    log_vals = log_density(dist, xs)
     unbounded = np.flatnonzero(log_vals == math.inf)
     if unbounded.size:
         raise NumericalError(
@@ -586,7 +587,7 @@ def cmd_estimate(args) -> tuple[dict, Table | None]:
         payload["map_estimate"] = est.value
         payload["map_at_boundary"] = est.at_boundary
     if args.grid_csv:
-        _write_side_file(args, "grid_csv", payload, _log_density_grid(law, args))
+        _write_side_file(args, "grid_csv", payload, _log_density_grid(law, args).to_csv)
     return payload, None
 
 
@@ -600,15 +601,14 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         if args.sample is None:
             raise ValueError("normal-jeffreys HPD is sample-based: pass --sample")
         draws = sample_joint_posterior(post, args.sample, args.seed)
-        kept = hpd_from_sample(draws, lambda p: nig_log_density(post, p[0], p[1]), args.alpha)
+        kept = _sample_keep_mask(nig_log_density(post, *draws.T), args.alpha)
         payload["seed"] = args.seed
         payload["n_draws"] = int(args.sample)
-        payload["n_retained"] = int(kept.shape[0])
+        payload["n_retained"] = int(np.count_nonzero(kept))
         if args.points_csv:
-            kept_set = set(map(tuple, kept.tolist()))
-            points = Table(["mu", "sigma_sq", "retained"],
-                           [[mu, s2, int((mu, s2) in kept_set)] for mu, s2 in draws.tolist()])
-            _write_side_file(args, "points_csv", payload, points)
+            rows = zip(*draws.T.tolist(), kept.tolist())
+            _write_side_file(args, "points_csv", payload, lambda path: _write_csv_rows(
+                path, "mu,sigma_sq,retained", "%.17g,%.17g,%d\n", rows))
         return payload, None
 
     if args.model == "cauchy-normal":
@@ -637,7 +637,7 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
     payload["coverage"] = region.coverage
     payload["intervals"] = [{"lo": lo, "hi": hi} for lo, hi in region.intervals]
     if args.grid_csv:
-        _write_side_file(args, "grid_csv", payload, grid_density)
+        _write_side_file(args, "grid_csv", payload, grid_density.to_csv)
     return payload, None
 
 
@@ -722,7 +722,7 @@ def cmd_test(args) -> tuple[dict, Table | None]:
                       [[p.tau, p.bf10, p.posterior_null_prob] for p in points])
         if args.sweep_csv:
             _write_side_file(args, "sweep_csv", payload,
-                             Table(["tau", "bf10", "posterior_prob"], table.rows))
+                             Table(["tau", "bf10", "posterior_prob"], table.rows).to_csv)
     return payload, table
 
 
@@ -754,7 +754,7 @@ def cmd_regress(args) -> tuple[dict, Table | None]:
     if args.report_csv:
         report = Table(["name", "estimate", "bf10", "log10_bf10", "label"],
                        [list(row.values()) for row in payload["rows"]])
-        _write_side_file(args, "report_csv", payload, report)
+        _write_side_file(args, "report_csv", payload, report.to_csv)
     return payload, table
 
 
@@ -763,7 +763,7 @@ def cmd_predict(args) -> tuple[dict, Table | None]:
     pred = predictive_from_posterior(post).to_distribution()
     payload = {"command": "predict", **fields, "predictive": _family_payload(pred)}
     if args.grid_csv:
-        _write_side_file(args, "grid_csv", payload, _log_density_grid(pred, args))
+        _write_side_file(args, "grid_csv", payload, _log_density_grid(pred, args).to_csv)
     return payload, None
 
 
@@ -786,7 +786,7 @@ def cmd_outliers(args) -> tuple[dict, Table | None]:
                              r.flagged, r.degenerate] for r in report.rows])
     if args.report_csv:
         report_table = Table(columns, [list(row.values()) for row in payload["rows"]])
-        _write_side_file(args, "report_csv", payload, report_table)
+        _write_side_file(args, "report_csv", payload, report_table.to_csv)
     return payload, table
 
 

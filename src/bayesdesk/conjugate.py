@@ -9,6 +9,7 @@ is all the normal-family updates depend on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +22,7 @@ from .distributions import mean as dist_mean
 from .distributions import mode as dist_mode
 from .errors import ImproperPosteriorError, NumericalError
 from .hpd import GridDensity
-from .special import log_gamma
+from .special import _elementwise, log_gamma
 
 __all__ = [
     "SummaryStats",
@@ -297,13 +298,37 @@ def jeffreys_normal_posterior(stats: SummaryStats) -> NormalInvGammaModel:
     return update_normal_inverse_gamma(NormalInvGammaModel(), stats)
 
 
-def nig_log_density(m: NormalInvGammaModel, mu: float, sigma_sq: float) -> float:
+def _nig_log_density_array(m: NormalInvGammaModel, mu: np.ndarray,
+                           sigma_sq: np.ndarray) -> np.ndarray:
+    # the scalar formula element by element: logs and the square through math
+    # and pow, the arithmetic in numpy in the scalar order
+    out = np.full(mu.shape, -math.inf)
+    ok = ~(sigma_sq <= 0.0)
+    mu, sigma_sq = mu[ok], sigma_sq[ok]
+    log_s = _elementwise(math.log, sigma_sq)
+    sq_dev = _elementwise(pow, mu - m.xi, itertools.repeat(2))
+    half_alpha = 0.5 * m.alpha
+    out[ok] = (0.5 * (math.log(m.lam_mu) - _LOG_2PI - log_s)
+               - m.lam_mu * sq_dev / (2.0 * sigma_sq)
+               + m.lam_sigma * math.log(half_alpha) - m._log_gamma_lam_sigma
+               - (m.lam_sigma + 1.0) * log_s - half_alpha / sigma_sq)
+    return out
+
+
+def nig_log_density(m: NormalInvGammaModel, mu: float, sigma_sq: float):
     """Normalized joint log density of (mu, sigma^2) under the model.
 
-    The model must be proper. Returns -inf when sigma_sq <= 0.
+    The model must be proper. Returns -inf when sigma_sq <= 0. Numpy arrays
+    mu and sigma_sq (broadcast together) give an array whose elements equal
+    the scalar results, so a whole posterior sample is one call.
     """
     if not m.is_proper():
         raise ImproperPosteriorError("joint density requires a proper model")
+    if isinstance(mu, np.ndarray) or isinstance(sigma_sq, np.ndarray):
+        mu, sigma_sq = np.broadcast_arrays(np.asarray(mu, dtype=float),
+                                           np.asarray(sigma_sq, dtype=float))
+        with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in Python
+            return _nig_log_density_array(m, mu.ravel(), sigma_sq.ravel()).reshape(mu.shape)
     if sigma_sq <= 0.0:
         return -math.inf
     half_alpha = 0.5 * m.alpha

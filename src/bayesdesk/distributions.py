@@ -11,6 +11,14 @@ field: it is left out of equality, hashing, repr and payloads, and a grid or
 integrand that evaluates one distribution many times computes it once.
 ``log_density`` adds it where the inline term stood, so the bits are the same.
 
+``log_density`` of a continuous kind, and ``cdf`` of a Student t, also take a
+numpy array of points, so that a grid or a leave-one-out scan is one call.
+Each logarithm is still ``math.log`` or ``math.log1p`` (numpy's vector
+versions differ in the last bit at some points), mapped over the array, and
+the arithmetic runs in numpy in the scalar order, so every element has the
+bits of the scalar call. Points on or past a support end take the scalar
+rule.
+
 Continuous quantiles invert the CDF with Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4), in a line-for-line
 port of scipy's ``brentq.c``: the same bracket bookkeeping, step test and
@@ -29,6 +37,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .special import (
+    _elementwise,
     log_beta,
     log_gamma,
     reg_inc_beta,
@@ -205,13 +214,50 @@ def _is_integer_value(x: float) -> bool:
     return math.isfinite(x) and float(x) == math.floor(x)
 
 
-def log_density(d: Distribution, x: float) -> float:
+def _log_density_array(d: Distribution, x: np.ndarray) -> np.ndarray:
+    # the scalar formulas on a 1-D float array, element for element
+    if isinstance(d, Normal):
+        z = x - d.mean
+        return -0.5 * (_LOG_2PI + math.log(d.variance)) - z * z / (2.0 * d.variance)
+    if isinstance(d, StudentT):
+        t = (x - d.location) / d.scale
+        return d._log_norm - 0.5 * (d.df + 1.0) * _elementwise(math.log1p, t * t / d.df)
+    if isinstance(d, Cauchy):
+        t = (x - d.location) / d.scale
+        return -math.log(math.pi * d.scale) - _elementwise(math.log1p, t * t)
+    if not isinstance(d, (Gamma, InverseGamma, Beta)):
+        raise TypeError(f"log_density takes an array only for a continuous kind, got {d!r}")
+    # zero density past the support; its ends take the scalar rule
+    out = np.full_like(x, _NEG_INF)
+    top = 1.0 if isinstance(d, Beta) else _INF
+    for j in np.flatnonzero((x == 0.0) | (x == top)):
+        out[j] = log_density(d, float(x[j]))
+    inner = (x > 0.0) & (x < top)
+    xi = x[inner]
+    if isinstance(d, Gamma):
+        out[inner] = d._log_norm + (d.shape - 1.0) * _elementwise(math.log, xi) - d.rate * xi
+    elif isinstance(d, InverseGamma):
+        out[inner] = d._log_norm - (d.shape + 1.0) * _elementwise(math.log, xi) - d.scale / xi
+    else:
+        out[inner] = ((d.a - 1.0) * _elementwise(math.log, xi)
+                      + (d.b - 1.0) * _elementwise(math.log1p, -xi) + d._log_norm)
+    return out
+
+
+def log_density(d: Distribution, x: float):
     """Natural log of the density (or mass) of d at x.
 
     Returns -inf outside the support rather than raising. Boundary points
     of continuous kinds follow the limiting density, so e.g. Beta(0.5, 2)
-    at 0 gives +inf.
+    at 0 gives +inf. A numpy array x gives an array of the same shape, each
+    element equal to the scalar result; discrete kinds take no array.
     """
+    if isinstance(x, np.ndarray):
+        flat = np.asarray(x, dtype=float).ravel()
+        if np.isnan(flat).any():
+            raise ValueError("x must not be NaN")
+        with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in Python
+            return _log_density_array(d, flat).reshape(np.shape(x))
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
@@ -280,8 +326,38 @@ def density(d: Distribution, x: float) -> float:
     return math.exp(log_density(d, x))
 
 
-def cdf(d: Distribution, x: float) -> float:
-    """P(X <= x), exact through the incomplete gamma/beta kernels."""
+def _student_t_cdf_array(d: StudentT, x: np.ndarray) -> np.ndarray:
+    # the scalar Student t branch below, split by the same t^2 < df test
+    t = (x - d.location) / d.scale
+    t2 = t * t
+    out = np.empty_like(t)
+    near = t2 < d.df
+    if near.any():
+        tn, tn2 = t[near], t2[near]
+        half = 0.5 * reg_inc_beta(0.5, 0.5 * d.df, tn2 / (d.df + tn2))
+        out[near] = np.where(tn > 0.0, 0.5 + half, 0.5 - half)
+    far = ~near
+    if far.any():
+        tf, tf2 = t[far], t2[far]
+        half = 0.5 * reg_inc_beta(0.5 * d.df, 0.5, d.df / (d.df + tf2))
+        out[far] = np.where(tf > 0.0, 1.0 - half, half)
+    return out
+
+
+def cdf(d: Distribution, x: float):
+    """P(X <= x), exact through the incomplete gamma/beta kernels.
+
+    A Student t also takes a numpy array x, giving an array of the same
+    shape whose elements equal the scalar results.
+    """
+    if isinstance(x, np.ndarray):
+        if not isinstance(d, StudentT):
+            raise TypeError(f"cdf takes an array only for a Student t, got {d!r}")
+        flat = np.asarray(x, dtype=float).ravel()
+        if np.isnan(flat).any():
+            raise ValueError("x must not be NaN")
+        with np.errstate(all="ignore"):
+            return _student_t_cdf_array(d, flat).reshape(np.shape(x))
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")

@@ -6,12 +6,13 @@ with k solved in closed form so that the trapezoid mass of the linearly
 interpolated density above k is the target coverage (Hyndman 1996).
 Interval endpoints are placed by linear interpolation between bracketing
 grid points. A sample-based variant keeps the highest log-density fraction
-of a posterior sample.
+of a posterior sample: the ceil((1-alpha)*count) best points, and every
+point tied with the value at the cut, by one rule for a per-point callable
+(``hpd_from_sample``) and for a whole array of log densities at once.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, field
@@ -71,11 +72,19 @@ class GridDensity:
 
     def to_csv(self, path: str) -> None:
         """Write the grid as two-column CSV (x, density)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "density"])
-            for x, d in zip(self.xs, self.densities()):
-                writer.writerow([format(x, ".17g"), format(d, ".17g")])
+        _write_csv_rows(path, "x,density", "%.17g,%.17g\n",
+                       zip(self.xs.tolist(), self.densities().tolist()))
+
+
+def _write_csv_rows(path: str, header: str, template: str, rows) -> None:
+    """Write a header line, then `template % row` per row, one row at a time.
+
+    For numeric rows this gives csv.writer's bytes, which never quotes a
+    number; writing from the iterator keeps no copy of the whole file.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(template % row for row in rows)
 
 
 @dataclass(frozen=True)
@@ -235,14 +244,20 @@ def hpd_from_sample(
     preserves the input order.
     """
     arr = np.asarray(points, dtype=float)
-    if arr.size == 0:
+    return arr[_sample_keep_mask(np.array([float(log_post(p)) for p in arr]), alpha)]
+
+
+def _sample_keep_mask(log_vals: np.ndarray, alpha: float) -> np.ndarray:
+    """Which of a sample's log densities the level-(1-alpha) HPD keeps.
+
+    True for the ceil((1-alpha)*count) largest values and every value tied
+    with the one at the cut.
+    """
+    if log_vals.size == 0:
         raise ValueError("points must be a nonempty sample")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    count = arr.shape[0]
-    vals = np.array([float(log_post(p)) for p in arr])
-    if np.any(np.isnan(vals)):
+    if np.any(np.isnan(log_vals)):
         raise ValueError("log_post returned NaN")
-    keep = math.ceil((1.0 - alpha) * count)
-    cut = np.sort(vals)[::-1][keep - 1]
-    return arr[vals >= cut]
+    rank = log_vals.size - math.ceil((1.0 - alpha) * log_vals.size)
+    return log_vals >= np.partition(log_vals, rank)[rank]

@@ -7,6 +7,17 @@ normalization quadrature in the tests. Outlier detection evaluates each
 observation against the predictive built from the other n-1 points under
 the noninformative prior and flags the extreme tails at a
 Bonferroni-corrected level.
+
+The leave-one-out scan is O(n): the mean and sum of squared deviations (ssd)
+of the whole sample are computed once and downdated for each held-out x_i,
+mean_i = xbar + (xbar - x_i)/(n-1) and ssd_i = ssd - n/(n-1) (x_i - xbar)^2
+(Chan, Golub & LeVeque 1983). Where leaving x_i out removes more than half
+of the spread, the subtraction would cancel, so ssd_i and mean_i are
+recomputed from the rest; that happens for at most three rows. Every
+held-out predictive has df = n-1, so the standardized points go through one
+array call of the Student t CDF. All of it runs on the data divided by a
+power of two near the largest |x|: that keeps every sum and square in float
+range, and changes no bits except where a value underflows.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjugate import SummaryStats, jeffreys_normal_posterior, NormalInvGammaModel
+from .conjugate import NormalInvGammaModel
 from .distributions import StudentT, cdf as dist_cdf, log_density as dist_log_density
 from .errors import ImproperPosteriorError, NumericalError
 
@@ -73,20 +84,8 @@ def predictive_from_posterior(m: NormalInvGammaModel) -> PredictiveT:
     return PredictiveT(location=m.xi, scale=scale, df=df)
 
 
-def _loo_cdf(arr: np.ndarray, i: int) -> tuple[float, bool]:
-    x = float(arr[i])
-    rest = np.delete(arr, i)
-    stats = SummaryStats.from_data(rest)
-    if stats.sum_sq_dev == 0.0:
-        # all remaining points identical: predictive collapses to a point
-        if x == stats.mean:
-            return 0.5, True
-        return (1.0 if x > stats.mean else 0.0), True
-    pred = predictive_from_posterior(jeffreys_normal_posterior(stats))
-    return pred.cdf(x), False
-
-
-def _check_data(data: Sequence[float]) -> np.ndarray:
+def _check_data(data: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The data as a float array, and divided by the power of two at or below max |x|."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1:
         raise ValueError("data must be a 1-D sequence")
@@ -102,7 +101,43 @@ def _check_data(data: Sequence[float]) -> np.ndarray:
     if float(np.sum((unit - unit.mean()) ** 2)) * scale * scale == math.inf:
         raise NumericalError(f"the sum of squared deviations of the data passes float range "
                              f"(largest |x| = {scale:g})")
-    return arr
+    return arr, arr / math.ldexp(1.0, math.frexp(scale)[1] - 1)
+
+
+def _loo_cdfs(unit: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Held-out predictive CDF and degenerate flag of each observation in `rows`.
+
+    A row is degenerate when the rest of the sample has no spread; its
+    predictive collapses to a point, and the CDF is 0, 1/2 or 1 by side.
+    """
+    n1 = unit.size - 1.0
+    lo, hi = unit.min(), unit.max()
+    at_lo, at_hi = unit == lo, unit == hi
+    n_lo, n_hi = int(np.count_nonzero(at_lo)), int(np.count_nonzero(at_hi))
+    # the rest is all one value when the data are, or when they hold two values
+    # and x_i is the only copy of one of them
+    two_valued = n_lo + n_hi == unit.size
+    equal = (lo == hi) | two_valued & (at_lo & (n_lo == 1) | at_hi & (n_hi == 1))
+    u, equal = unit[rows], equal[rows]
+    mean = unit.mean()
+    ssd = float(np.sum((unit - mean) ** 2))
+    loo_mean = mean + (mean - u) / n1
+    loo_ssd = ssd - unit.size / n1 * (u - mean) ** 2
+    for j in np.flatnonzero(~equal & (loo_ssd < 0.5 * ssd)):
+        rest = np.delete(unit, rows[j])
+        loo_mean[j] = rest.mean()
+        loo_ssd[j] = np.sum((rest - loo_mean[j]) ** 2)
+    # an all-equal rest has its value as mean and no spread, whatever its sum rounds to
+    loo_mean[equal] = np.where(u[equal] == lo, hi, lo)
+    loo_ssd[equal] = 0.0
+    # location and scale as predictive_from_posterior builds them from the
+    # Jeffreys posterior of the rest: xi = (n-1) mean / (n-1), alpha = ssd
+    scale = np.sqrt(loo_ssd * (n1 + 1.0) / (n1 * n1))
+    degenerate = ~(scale > 0.0)  # no spread, or one that underflows
+    cdf = np.where(u == loo_mean, 0.5, np.where(u > loo_mean, 1.0, 0.0))
+    live = ~degenerate
+    cdf[live] = dist_cdf(StudentT(n1), (u[live] - n1 * loo_mean[live] / n1) / scale[live])
+    return cdf, degenerate
 
 
 def loo_predictive_cdf(data: Sequence[float], i: int) -> float:
@@ -110,13 +145,14 @@ def loo_predictive_cdf(data: Sequence[float], i: int) -> float:
 
     The held-out posterior uses the noninformative prior, so the data must
     have at least 3 points. Values near 0 or 1 mark observations the rest
-    of the sample finds surprising.
+    of the sample finds surprising. The value is the one detect_outliers
+    reports for row i, bit for bit.
     """
-    arr = _check_data(data)
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < arr.size:
-        raise ValueError(f"index {i!r} out of range for {arr.size} observations")
-    value, _ = _loo_cdf(arr, int(i))
-    return value
+    _, unit = _check_data(data)
+    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < unit.size:
+        raise ValueError(f"index {i!r} out of range for {unit.size} observations")
+    cdf, _ = _loo_cdfs(unit, np.array([int(i)]))
+    return float(cdf[0])
 
 
 def bonferroni_bound(n: int, alpha: float) -> float:
@@ -162,14 +198,13 @@ def detect_outliers(data: Sequence[float], alpha: float) -> OutlierReport:
     the familywise false-flag rate at 1 - alpha; applying the full bound
     per tail would double it.
     """
-    arr = _check_data(data)
+    arr, unit = _check_data(data)
     n = int(arr.size)
     a = bonferroni_bound(n, alpha)
     half = 0.5 * a
-    rows = []
-    for i in range(n):
-        f, degenerate = _loo_cdf(arr, i)
-        flagged = f < half or f > 1.0 - half
-        rows.append(OutlierRow(index=i, value=float(arr[i]), loo_cdf=f,
-                               flagged=flagged, degenerate=degenerate))
-    return OutlierReport(alpha=float(alpha), bound_a=a, n=n, rows=tuple(rows))
+    cdf, degenerate = _loo_cdfs(unit, np.arange(n))
+    flagged = (cdf < half) | (cdf > 1.0 - half)
+    rows = tuple(OutlierRow(index=i, value=x, loo_cdf=f, flagged=fl, degenerate=dg)
+                 for i, (x, f, fl, dg) in enumerate(zip(arr.tolist(), cdf.tolist(),
+                                                        flagged.tolist(), degenerate.tolist())))
+    return OutlierReport(alpha=float(alpha), bound_a=a, n=n, rows=rows)

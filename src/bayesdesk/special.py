@@ -5,13 +5,21 @@ series/continued-fraction regularized incomplete gamma, a modified-Lentz
 continued fraction for the regularized incomplete beta, and the error
 function pair built on the incomplete gamma. Downstream CDFs (Gamma, Beta,
 Binomial, Poisson, Student t, the normal CDF) reduce to these three kernels.
-All functions take and return Python floats. A continued fraction or series
-that does not converge raises NumericalError.
+All functions take and return Python floats, except that ``reg_inc_beta``
+also takes a numpy array of points with scalar shapes, for the Student t CDF
+of a whole leave-one-out scan. That path runs the same continued fraction
+on every live element at once and keeps each element's operations in the
+scalar order, so each result has the bits of the scalar call; it is a
+separate loop, not a wrapper, because on one element it costs about twenty
+scalar calls. A continued fraction or series that does not converge raises
+NumericalError.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import NumericalError
 
@@ -190,18 +198,88 @@ def _beta_cont_fraction(a: float, b: float, x: float) -> float:
     raise NumericalError(f"incomplete beta fraction failed to converge for a={a}, b={b}, x={x}")
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
+def _elementwise(f, x: np.ndarray, *args) -> np.ndarray:
+    """f mapped over the elements of a 1-D float array (and of `args`), as floats."""
+    return np.fromiter(map(f, x.tolist(), *args), float, x.size)
+
+
+def _beta_cont_fraction_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    # _beta_cont_fraction on every element, dropping each once it converges
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = 1.0 / np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2.0 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
+        d = 1.0 / d
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            out[live[done]] = h[done]
+            going = ~done
+            if not going.any():
+                return out
+            live, x, c, d, h = live[going], x[going], c[going], d[going], h[going]
+    raise NumericalError(f"incomplete beta fraction failed to converge for a={a}, b={b}, "
+                         f"x={float(x[0])}")
+
+
+def _reg_inc_beta_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    # reg_inc_beta element by element: logs and exps through math, as the scalar does
+    outside = ~((x >= 0.0) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"x must lie in [0, 1], got {float(x[outside][0])!r}")
+    out = np.where(x == 1.0, 1.0, 0.0)
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    xi = x[inner]
+    exponent = a * _elementwise(math.log, xi) + b * _elementwise(math.log1p, -xi) - log_beta(a, b)
+    front = _elementwise(math.exp, exponent)
+    lower = xi < (a + 1.0) / (a + b + 2.0)
+    val = np.empty_like(xi)
+    if lower.any():
+        val[lower] = front[lower] * _beta_cont_fraction_array(a, b, xi[lower]) / a
+    upper = ~lower
+    if upper.any():
+        val[upper] = 1.0 - front[upper] * _beta_cont_fraction_array(b, a, 1.0 - xi[upper]) / b
+    out[inner] = np.minimum(np.maximum(val, 0.0), 1.0)
+    return out
+
+
+def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b).
 
     Parameters
     ----------
     a, b : float
         Shapes, strictly positive.
-    x : float
-        Point in [0, 1].
+    x : float or numpy.ndarray
+        Point in [0, 1], or an array of such points; an array gives an
+        array of the same shape, each element equal to the scalar result.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"shapes must be positive, got a={a!r}, b={b!r}")
+    if isinstance(x, np.ndarray):
+        flat = np.asarray(x, dtype=float).ravel()
+        with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in Python
+            return _reg_inc_beta_array(a, b, flat).reshape(np.shape(x))
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:

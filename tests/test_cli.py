@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -17,7 +18,13 @@ import pytest
 
 from bayesdesk import cli
 from bayesdesk.cli import main
-from bayesdesk.conjugate import NormalInvGammaModel, nig_log_density
+from bayesdesk.conjugate import (
+    NormalInvGammaModel,
+    SummaryStats,
+    jeffreys_normal_posterior,
+    nig_log_density,
+    sample_joint_posterior,
+)
 from bayesdesk.distributions import Beta, Gamma, InverseGamma, StudentT, log_density
 
 DATA = Path(__file__).parent / "data"
@@ -358,6 +365,81 @@ SIDE_FILE_RUNS = {
     "outliers": ("outliers", "--data-file", str(DATA / "planted_outlier.csv"),
                  "--report-csv", "side.csv"),
 }
+
+
+def _count_scalar_calls(monkeypatch, func) -> list:
+    """Wrap `func` wherever a bayesdesk module holds it; record each call without an array."""
+    calls = []
+
+    def counted(*args):
+        if not any(isinstance(a, np.ndarray) for a in args):
+            calls.append(args)
+        return func(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bayesdesk" or name.startswith("bayesdesk."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestArrayRoutes:
+    """Grids, sample HPDs and outlier scans evaluate their kernels once per array."""
+
+    def test_outlier_scan_makes_no_scalar_cdf_call(self, capsys, monkeypatch):
+        from bayesdesk import distributions, special
+        cdf_calls = _count_scalar_calls(monkeypatch, distributions.cdf)
+        beta_calls = _count_scalar_calls(monkeypatch, special.reg_inc_beta)
+        data = np.append(np.random.default_rng(2506).normal(0.0, 1.0, 999), 40.0)
+        code, out, _ = run(capsys, "outliers", "--data", ",".join(map(repr, data.tolist())),
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["flagged_indices"] == [999]
+        assert (cdf_calls, beta_calls) == ([], [])
+
+    def test_grid_makes_scalar_density_calls_only_at_its_ends(self, capsys, monkeypatch):
+        from bayesdesk import distributions
+        calls = _count_scalar_calls(monkeypatch, distributions.log_density)
+        code, _, _ = run(capsys, "hpd", "--model", "beta-binomial", "--successes", "38",
+                         "--trials", "58")
+        assert code == 0
+        assert sorted(x for _, x in calls) == [0.0, 1.0]
+
+    def test_sample_hpd_makes_no_scalar_joint_density_call(self, capsys, monkeypatch, tmp_path):
+        from bayesdesk import conjugate
+        calls = _count_scalar_calls(monkeypatch, conjugate.nig_log_density)
+        code, out, _ = run(capsys, "hpd", "--model", "normal-jeffreys", "--stats",
+                           "n=50,mean=1,ssd=20", "--sample", "20000", "--alpha", "0.1",
+                           "--points-csv", str(tmp_path / "points.csv"), "--format", "json")
+        assert code == 0 and json.loads(out)["n_retained"] == 18000
+        assert calls == []
+
+    def test_points_csv_marks_the_kept_draws(self, capsys, tmp_path):
+        target = tmp_path / "points.csv"
+        code, out, _ = run(capsys, "hpd", "--model", "normal-jeffreys", "--stats",
+                           "n=12,mean=-2,ssd=7", "--sample", "3000", "--seed", "11",
+                           "--alpha", "0.2", "--points-csv", str(target), "--format", "json")
+        assert code == 0
+        post = jeffreys_normal_posterior(SummaryStats(12, -2.0, 7.0))
+        draws = sample_joint_posterior(post, 3000, 11)
+        vals = [nig_log_density(post, mu, s2) for mu, s2 in draws.tolist()]
+        cut = sorted(vals, reverse=True)[math.ceil(0.8 * 3000) - 1]
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["mu", "sigma_sq", "retained"])
+        for (mu, s2), v in zip(draws.tolist(), vals):
+            writer.writerow([format(mu, ".17g"), format(s2, ".17g"), int(v >= cut)])
+        assert target.read_text() == want.getvalue()
+        assert json.loads(out)["n_retained"] == sum(v >= cut for v in vals)
+
+    def test_equal_values_near_the_float_maximum(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "outliers", "--data", "1e308,1e308,1e308",
+                                 "--format", "json")
+        assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
+        rows = json.loads(out)["rows"]
+        assert [(r["loo_cdf"], r["degenerate"]) for r in rows] == [(0.5, True)] * 3
 
 
 class TestOutputContract:

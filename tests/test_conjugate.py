@@ -290,6 +290,34 @@ class TestCachedNigTerm:
                 assert nig_log_density(m, mu, s2) == inline(m, mu, s2), (m, mu, s2)
 
 
+class TestNigLogDensityArray:
+    def test_equals_scalar_calls_on_seeded_draws(self):
+        rng = np.random.default_rng(2503)
+        for lam_mu, lam_sigma, alpha in ((10.0, 5.0, 1.0), (150.0, 75.0, 37.5), (2.0, 1.0, 1e-3)):
+            m = NormalInvGammaModel(float(rng.normal(0.0, 3.0)), lam_mu, lam_sigma, alpha)
+            draws = sample_joint_posterior(m, 20_000, seed=int(rng.integers(2**31)))
+            mu, s2 = draws[:, 0].copy(), draws[:, 1].copy()
+            s2[::997] = 0.0
+            s2[1::1999] = -s2[1::1999]
+            got = nig_log_density(m, mu, s2)
+            want = [nig_log_density(m, a, b) for a, b in zip(mu.tolist(), s2.tolist())]
+            assert np.array_equal(got, want)
+            assert (got == -math.inf).sum() == (s2 <= 0.0).sum() > 0
+
+    def test_broadcasts_a_scalar_against_an_array(self):
+        m = NormalInvGammaModel(0.5, 3.0, 4.0, 2.0)
+        s2 = np.array([0.5, 1.0, -1.0])
+        assert np.array_equal(nig_log_density(m, 0.1, s2),
+                              [nig_log_density(m, 0.1, v) for v in s2.tolist()])
+
+    def test_a_square_past_float_range_raises_as_the_scalar_does(self):
+        m = NormalInvGammaModel(0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(OverflowError):
+            nig_log_density(m, 1e200, 1.0)
+        with pytest.raises(OverflowError):
+            nig_log_density(m, np.array([0.0, 1e200]), np.array([1.0, 1.0]))
+
+
 class TestNigUpdateFarFromUnitScale:
     def test_flat_mean_prior_skips_the_disagreement_term(self):
         post = jeffreys_normal_posterior(SummaryStats(10, 1e200, 1.0))

@@ -1,6 +1,7 @@
 """Distribution kinds: densities, cdfs, quantiles, sampling, moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,74 @@ class TestCdf:
         assert cdf(Normal(0.0, 1.0), -50.0) == 0.0
         assert cdf(Beta(2.0, 2.0), -0.1) == 0.0
         assert cdf(Beta(2.0, 2.0), 1.1) == 1.0
+
+
+class TestArrayPaths:
+    """log_density and the Student t cdf on an array: the scalar bits, element for element."""
+
+    ARRAY_KINDS = CONTINUOUS + [
+        Beta(0.5, 2.0), Beta(1.0, 2.5), Beta(2.0, 1.0), Beta(1.0, 1.0), Beta(3.0, 0.4),
+        Gamma(1.0, 2.0), Gamma(0.3, 1.0), StudentT(1e4), StudentT(0.7, -3.0, 0.1),
+    ]
+
+    @staticmethod
+    def _points(d, rng):
+        lo, hi = support(d)
+        if isinstance(d, Beta):
+            xs = rng.uniform(0.0, 1.0, 2000)
+        elif lo == 0.0:
+            xs = rng.gamma(2.0, 1.0, 2000) * (dist_mean(d) if isinstance(d, Gamma) else 1.0)
+        else:
+            xs = rng.normal(0.0, 30.0, 2000)
+        # the support ends and points past them take the scalar rule
+        return np.concatenate((xs, [lo, hi, -0.5, 0.0, 1.0, 1.5, 5e-324, 1e300, -1e300]))
+
+    @pytest.mark.parametrize("d", ARRAY_KINDS, ids=repr)
+    def test_log_density_equals_scalar_calls(self, d):
+        xs = self._points(d, np.random.default_rng(2501))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a float overflow is silent in both paths
+            got = log_density(d, xs)
+        assert np.array_equal(got, [log_density(d, x) for x in xs.tolist()], equal_nan=True)
+
+    def test_edges_of_the_grids(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        for a, b in ((0.5, 0.5), (1.0, 2.0), (2.0, 1.0), (3.0, 4.0)):
+            got = log_density(Beta(a, b), grid)
+            assert got[0] == (math.inf if a < 1.0 else -log_beta(a, b) if a == 1.0 else -math.inf)
+            assert got[-1] == (math.inf if b < 1.0 else -log_beta(a, b) if b == 1.0 else -math.inf)
+        for shape, at_zero in ((0.5, math.inf), (1.0, math.log(2.0)), (3.0, -math.inf)):
+            assert log_density(Gamma(shape, 2.0), np.array([0.0, 1.0]))[0] == at_zero
+
+    def test_shape_kept_and_discrete_kinds_refused(self):
+        xs = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+        assert log_density(Beta(2.0, 3.0), xs).shape == (2, 3)
+        for d in DISCRETE:
+            with pytest.raises(TypeError):
+                log_density(d, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            log_density(Normal(0.0, 1.0), np.array([0.0, math.nan]))
+
+    @pytest.mark.parametrize("d", [StudentT(10.0), StudentT(3.0, 1.5, 2.0), StudentT(9999.0),
+                                   StudentT(0.5), StudentT(2.0, -1e3, 1e-2)], ids=repr)
+    def test_student_t_cdf_equals_scalar_calls(self, d):
+        rng = np.random.default_rng(2502)
+        root_df = math.sqrt(d.df)
+        t = np.concatenate((rng.normal(0.0, 1.0, 300), rng.standard_cauchy(300) * 20.0,
+                            rng.uniform(-3.0, 3.0, 600) * root_df,
+                            [0.0, -0.0, root_df, -root_df, 1e300, -math.inf, math.inf]))
+        xs = d.location + d.scale * t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cdf(d, xs)
+        assert (np.abs(t) < root_df).sum() > 300 and (np.abs(t) >= root_df).sum() > 300
+        assert np.array_equal(got, [cdf(d, x) for x in xs.tolist()])
+
+    def test_cdf_array_only_for_student_t(self):
+        with pytest.raises(TypeError):
+            cdf(Normal(0.0, 1.0), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            cdf(StudentT(3.0), np.array([0.0, math.nan]))
 
 
 class TestQuantile:

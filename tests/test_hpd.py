@@ -1,5 +1,7 @@
 """Grid densities and highest-density credible regions."""
 
+import csv
+import io
 import math
 import warnings
 
@@ -17,6 +19,7 @@ from bayesdesk.hpd import (
     hpd_from_sample,
     normalize,
 )
+from bayesdesk.hpd import _sample_keep_mask
 
 
 def _normal_grid(mean=0.0, sd=1.0, lo=-8.0, hi=8.0, points=2001):
@@ -96,6 +99,18 @@ class TestGridDensity:
         assert np.allclose(rows[:, 0], g.xs)
         assert np.allclose(rows[:, 1], g.densities())
         assert b"\r" not in path.read_bytes()
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        xs = np.concatenate(([-1e300, -1.0, 0.0, 5e-324, 1e-5], np.linspace(1.0, 9.0, 97)))
+        log_vals = np.concatenate(([-math.inf, -1e10, 0.0, 700.0], np.linspace(-50, 2, 98)))
+        g = GridDensity(xs, log_vals)
+        g.to_csv(tmp_path / "grid.csv")
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["x", "density"])
+        for x, d in zip(g.xs, g.densities()):
+            writer.writerow([format(x, ".17g"), format(d, ".17g")])
+        assert (tmp_path / "grid.csv").read_text() == want.getvalue()
 
 
 class TestNormalize:
@@ -273,6 +288,28 @@ class TestHpdFromSample:
             hpd_from_sample(draws, lambda p: 0.0, 1.0)
         with pytest.raises(ValueError):
             hpd_from_sample(draws, lambda p: float("nan"), 0.1)
+
+
+class TestSampleKeepMask:
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.999])
+    def test_same_points_as_the_per_point_route(self, alpha):
+        rng = np.random.default_rng(2504)
+        draws = rng.normal(size=(3001, 2))
+        vals = -np.sum(draws * draws, axis=1)
+        vals[::50] = vals[7]  # ties with whatever value lands at the cut
+        vals[::301] = -math.inf
+        kept = _sample_keep_mask(vals, alpha)
+        row_val = dict(zip(map(tuple, draws.tolist()), vals.tolist()))
+        assert np.array_equal(draws[kept], hpd_from_sample(draws, lambda p: row_val[tuple(p)],
+                                                           alpha))
+        cut = np.sort(vals)[::-1][math.ceil((1.0 - alpha) * vals.size) - 1]
+        assert np.array_equal(kept, vals >= cut)
+
+    def test_validation(self):
+        for vals, alpha in ((np.empty(0), 0.1), (np.zeros(5), 1.0), (np.zeros(5), 0.0),
+                            (np.array([0.0, math.nan]), 0.1)):
+            with pytest.raises(ValueError):
+                _sample_keep_mask(vals, alpha)
 
 
 class TestCoverageFailure:

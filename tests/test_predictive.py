@@ -8,7 +8,12 @@ import pytest
 import scipy.integrate as si
 import scipy.stats as st
 
-from bayesdesk.conjugate import NormalInvGammaModel, SummaryStats, update_normal_inverse_gamma
+from bayesdesk.conjugate import (
+    NormalInvGammaModel,
+    SummaryStats,
+    jeffreys_normal_posterior,
+    update_normal_inverse_gamma,
+)
 from bayesdesk.errors import ImproperPosteriorError, NumericalError
 from bayesdesk.predictive import (
     OutlierReport,
@@ -204,3 +209,75 @@ class TestDetectOutliers:
             # the check scales by the largest |x|, so large equal values still pass
             report = detect_outliers([6e307, 6e307, 6e307], 0.95)
         assert all(row.degenerate for row in report.rows)
+
+
+def _refit_loo(data: np.ndarray, i: int) -> tuple[float, bool]:
+    """The held-out CDF by refitting the rest from scratch, as the O(n^2) scan did."""
+    x, stats = float(data[i]), SummaryStats.from_data(np.delete(data, i))
+    if stats.sum_sq_dev == 0.0:
+        return (0.5 if x == stats.mean else 1.0 if x > stats.mean else 0.0), True
+    return predictive_from_posterior(jeffreys_normal_posterior(stats)).cdf(x), False
+
+
+def _scan_samples() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(2505)
+    return {
+        "normal": rng.normal(0.0, 1.0, 400),
+        "offset": rng.normal(3.0, 2.0, 50),
+        "dominant outlier": np.append(rng.normal(0.0, 1.0, 60), 1e6),  # ssd_i << ssd
+        "two outliers": np.append(rng.normal(0.0, 1.0, 40), [-5e4, 5e4]),
+        "two-valued": np.array([2.0] * 9 + [7.0]),  # row 9 is degenerate
+        "two-valued low": np.array([-3.0] + [0.25] * 6),  # row 0 is degenerate
+        "two-valued even": np.array([1.0] * 4 + [2.0] * 3),
+        "three points": np.array([0.0, 1.0, 5.0]),
+    }
+
+
+class TestLooDowndate:
+    @pytest.mark.parametrize("name", list(_scan_samples()))
+    def test_single_row_equals_the_scan_bit_for_bit(self, name):
+        data = _scan_samples()[name]
+        report = detect_outliers(data, 0.95)
+        for i, row in enumerate(report.rows):
+            assert loo_predictive_cdf(data, i) == row.loo_cdf, (name, i)
+
+    @pytest.mark.parametrize("name", list(_scan_samples()))
+    def test_within_1e13_of_refitting_with_the_same_flags(self, name):
+        data = _scan_samples()[name]
+        report = detect_outliers(data, 0.95)
+        half = 0.5 * report.bound_a
+        for i, row in enumerate(report.rows):
+            want, degenerate = _refit_loo(data, i)
+            assert abs(row.loo_cdf - want) <= 1e-13, (name, i, row.loo_cdf, want)
+            assert row.degenerate == degenerate
+            assert row.flagged == (want < half or want > 1.0 - half)
+        if name.startswith("two-valued"):
+            assert [r.degenerate for r in report.rows].count(True) == (name != "two-valued even")
+
+    def test_refits_only_the_rows_that_carry_the_spread(self, monkeypatch):
+        deletes = []
+        real_delete = np.delete
+        monkeypatch.setattr(np, "delete", lambda *a, **k: deletes.append(a[1]) or real_delete(*a, **k))
+        samples = _scan_samples()
+        detect_outliers(samples["normal"], 0.95)
+        assert deletes == []
+        detect_outliers(samples["dominant outlier"], 0.95)
+        assert deletes == [60]
+        deletes.clear()
+        detect_outliers(samples["two outliers"], 0.95)
+        assert deletes == [40, 41]  # each outlier holds just over half the spread
+        deletes.clear()
+        detect_outliers(samples["three points"], 0.95)
+        assert len(deletes) <= 3
+
+    def test_equal_values_near_the_float_maximum(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = detect_outliers([1e308, 1e308, 1e308], 0.95)
+            assert loo_predictive_cdf([1e308, 1e308, 1e308], 1) == 0.5
+        assert [(r.loo_cdf, r.degenerate, r.flagged) for r in report.rows] == [(0.5, True, False)] * 3
+
+    def test_equal_values_are_degenerate_whatever_their_mean_rounds_to(self):
+        # the mean of four 0.1s is not 0.1 in floating point; the rest is still one value
+        report = detect_outliers([0.1, 0.1, 0.1, 0.1], 0.95)
+        assert [(r.loo_cdf, r.degenerate) for r in report.rows] == [(0.5, True)] * 4

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from bayesdesk import special
+from bayesdesk.errors import NumericalError
 from bayesdesk.special import (
     erf,
     erfc,
@@ -112,6 +114,39 @@ class TestIncompleteBeta:
             reg_inc_beta(1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
             reg_inc_beta(-1.0, 1.0, 0.5)
+
+
+class TestIncompleteBetaArray:
+    """The array path gives each element the bits of the scalar call."""
+
+    @pytest.mark.parametrize("a, b", [(0.5, 4.5), (0.5, 5000.0), (5000.0, 0.5), (39.0, 21.0),
+                                      (0.3, 0.7), (1.0, 1.0), (2.0, 150.0)])
+    def test_equals_scalar_calls_on_both_sides_of_the_split(self, a, b):
+        rng = np.random.default_rng(1701)
+        split = (a + 1.0) / (a + b + 2.0)
+        x = np.concatenate((rng.uniform(0.0, 1.0, 300), split * rng.uniform(0.0, 1.0, 100),
+                            split + (1.0 - split) * rng.uniform(0.0, 1.0, 100),
+                            [0.0, 1.0, split, 5e-324, 1e-300, 1.0 - 2.0 ** -53]))
+        got = reg_inc_beta(a, b, x)
+        assert np.array_equal(got, [reg_inc_beta(a, b, v) for v in x.tolist()])
+        assert (x < split).any() and (x >= split).any()
+
+    def test_keeps_the_shape(self):
+        x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        got = reg_inc_beta(2.0, 3.0, x)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), [reg_inc_beta(2.0, 3.0, v) for v in x.ravel().tolist()])
+        assert reg_inc_beta(2.0, 3.0, np.empty(0)).shape == (0,)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "_MAX_ITER", 2)
+        with pytest.raises(NumericalError, match="incomplete beta fraction"):
+            reg_inc_beta(0.5, 5000.0, np.array([1e-6, 1e-3, 0.2]))
+
+    def test_rejects_points_outside_the_unit_interval(self):
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                reg_inc_beta(2.0, 3.0, np.array([0.5, bad]))
 
 
 class TestErrorFunction:
