@@ -10,7 +10,7 @@ per subcommand, its handler and the flags it takes, in help order. The
 conjugate models that both `estimate` and `hpd` offer are built by one
 function each, found through the `_CONJUGATE` model table. Every CSV input
 is read by `_read_csv`; report tables, `--format csv` output and side-file
-tables are all written by `Table.write_csv`.
+tables are written by `Table.write_csv`, grid and draw files by `_write_csv_rows`.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure
 (improper posterior, banned improper prior, rank deficiency, unreachable

@@ -7,8 +7,9 @@ function pair built on the incomplete gamma. Downstream CDFs (Gamma, Beta,
 Binomial, Poisson, Student t, the normal CDF) reduce to these three kernels.
 All functions take and return Python floats, except that ``reg_inc_beta``
 also takes a numpy array of points with scalar shapes, for the Student t CDF
-of a whole leave-one-out scan. That path runs the same continued fraction
-on every live element at once and keeps each element's operations in the
+of a whole leave-one-out scan. That path runs the same modified-Lentz
+fraction (Thompson & Barnett 1986) on every element not yet converged, under
+a per-element convergence mask, and keeps each element's operations in the
 scalar order, so each result has the bits of the scalar call; it is a
 separate loop, not a wrapper, because on one element it costs about twenty
 scalar calls. A continued fraction or series that does not converge raises
