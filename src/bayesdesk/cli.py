@@ -26,9 +26,7 @@ import functools
 import math
 import os
 import sys
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .conjugate import (
     BetaBinomialModel,
@@ -58,6 +56,7 @@ from .hpd import (
 )
 from .predictive import detect_outliers, predictive_from_posterior
 from .regression import RegressionData, regression_report
+from .special import _is_numpy
 from .testing import (
     EVIDENCE_LEGEND,
     FlatImproperPrior,
@@ -67,6 +66,9 @@ from .testing import (
     one_sided_posterior_prob,
     point_null_test,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "main",
@@ -223,6 +225,7 @@ def _read_numeric_column(path: str, column: str | None) -> tuple[np.ndarray, str
             f"{path}: column {column!r} not found (have: {', '.join(names)})")
     at = names.index(column)
     values = [_floats([fields[at]], f"{path}: line {line}")[0] for line, fields in rows]
+    import numpy as np
     return np.asarray(values, dtype=float), column
 
 
@@ -236,6 +239,7 @@ def _read_regression(path: str, response: str, add_intercept: bool) -> Regressio
         raise ValueError(
             f"{path}: column 'Intercept' collides with the automatic intercept; "
             "rename it or pass --no-intercept")
+    import numpy as np
     table = np.asarray([_floats(fields, f"{path}: line {line}") for line, fields in rows],
                        dtype=float)
     # copies, not strided views: a view moves the last bits of the Bayes factors
@@ -262,15 +266,12 @@ def _json_scalar(v) -> str:
         return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if math.isnan(v) or math.isinf(v):
-            return f'"{_fmt17(v)}"'
-        return _fmt17(v)
     if isinstance(v, str):
         return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(v, int) or not isinstance(v, float) and _is_numpy(v, "integer"):
+        return str(int(v))
+    if isinstance(v, float) or _is_numpy(v, "floating"):
+        return _fmt17(v) if math.isfinite(v) else f'"{_fmt17(v)}"'
     raise TypeError(f"cannot serialize {v!r}")
 
 
@@ -308,7 +309,7 @@ def _text_scalar(v) -> str:
         return "-"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float) or not isinstance(v, (str, int)) and _is_numpy(v, "floating"):
         return format(float(v), ".10g")
     return str(v)
 
@@ -322,16 +323,10 @@ class Table:
         self.legend = legend
 
     def render_text(self) -> list[str]:
-        cells = [[_text_scalar(v) for v in row] for row in self.rows]
-        widths = [len(c) for c in self.columns]
-        for row in cells:
-            for j, cell in enumerate(row):
-                widths[j] = max(widths[j], len(cell))
-        lines = ["  ".join(name.ljust(widths[j]) if j == 0 else name.rjust(widths[j])
-                           for j, name in enumerate(self.columns))]
-        for row in cells:
-            lines.append("  ".join(cell.ljust(widths[j]) if j == 0 else cell.rjust(widths[j])
-                                   for j, cell in enumerate(row)))
+        cells = [self.columns, *([_text_scalar(v) for v in row] for row in self.rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  ".join(cell.ljust(widths[j]) if j == 0 else cell.rjust(widths[j])
+                           for j, cell in enumerate(row)) for row in cells]
         if self.legend:
             lines.append(self.legend)
         return lines
@@ -348,7 +343,7 @@ class Table:
 
 
 def _csv_scalar(v) -> str:
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float) or not isinstance(v, (str, int)) and _is_numpy(v, "floating"):
         return _fmt17(v)
     if v is None:
         return ""
@@ -445,6 +440,7 @@ def _grid_from_range(args) -> np.ndarray | None:
         return None
     if not args.grid_min < args.grid_max:
         raise ValueError("--grid-min must be below --grid-max")
+    import numpy as np
     return np.linspace(args.grid_min, args.grid_max, args.grid_points)
 
 
@@ -453,6 +449,7 @@ def _grid_for(dist, args) -> np.ndarray:
     xs = _grid_from_range(args)
     if xs is not None:
         return xs
+    import numpy as np
     points = args.grid_points
     if isinstance(dist, Beta):
         return np.linspace(0.0, 1.0, points)
@@ -472,7 +469,7 @@ def _grid_for(dist, args) -> np.ndarray:
 def _log_density_grid(dist, args) -> GridDensity:
     xs = _grid_for(dist, args)
     log_vals = log_density(dist, xs)
-    unbounded = np.flatnonzero(log_vals == math.inf)
+    unbounded = (log_vals == math.inf).nonzero()[0]
     if unbounded.size:
         raise NumericalError(
             f"the density is infinite at x = {xs[unbounded[0]]:g} on the grid; "
@@ -592,6 +589,8 @@ def cmd_estimate(args) -> tuple[dict, Table | None]:
 
 
 def cmd_hpd(args) -> tuple[dict, Table | None]:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {args.alpha!r}")
     payload: dict = {"command": "hpd", "model": args.model, "alpha": args.alpha}
     if args.model == "normal-jeffreys":
         stats, source = _resolve_stats(args)
@@ -604,7 +603,7 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         kept = _sample_keep_mask(nig_log_density(post, *draws.T), args.alpha)
         payload["seed"] = args.seed
         payload["n_draws"] = int(args.sample)
-        payload["n_retained"] = int(np.count_nonzero(kept))
+        payload["n_retained"] = int(kept.sum())
         if args.points_csv:
             rows = zip(*draws.T.tolist(), kept.tolist())
             _write_side_file(args, "points_csv", payload, lambda path: _write_csv_rows(
@@ -630,6 +629,11 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         grid_density = normalize(_log_density_grid(post, args))
 
     region = hpd_from_grid(grid_density, args.alpha)
+    step = float(grid_density.xs[1] - grid_density.xs[0])
+    if args.model == "cauchy-normal" and args.grid_min is None and any(
+            hi - lo < 2.0 * step for lo, hi in region.intervals):
+        raise NumericalError(f"an HPD interval spans fewer than two cells of the default grid, "
+                             f"spaced {step:g} by the prior sd; give --grid-min/--grid-max")
     payload["grid"] = {"min": float(grid_density.xs[0]), "max": float(grid_density.xs[-1]),
                        "points": int(grid_density.xs.size)}
     payload["log_norm_const"] = grid_density.log_norm_const
@@ -714,8 +718,8 @@ def cmd_test(args) -> tuple[dict, Table | None]:
             raise ValueError("--sweep-tau needs 0 < lo < hi and points >= 2")
         if hi == math.inf:
             raise ValueError("--sweep-tau: hi must be finite")
-        taus = np.geomspace(lo, hi, n_pts)
-        points = lindley_sweep(args.x - args.theta0, sigma, args.rho, taus)
+        import numpy as np
+        points = lindley_sweep(args.x - args.theta0, sigma, args.rho, np.geomspace(lo, hi, n_pts))
         payload["sweep"] = [{"tau": p.tau, "bf10": p.bf10,
                              "posterior_null_prob": p.posterior_null_prob} for p in points]
         table = Table(["tau", "bf10", "posterior_null_prob"],
@@ -741,14 +745,10 @@ def cmd_regress(args) -> tuple[dict, Table | None]:
                   "log10_bf10": r.log10_bf10, "label": r.label} for r in summary.rows],
         "legend": EVIDENCE_LEGEND,
     }
-    rows = []
-    for r in summary.rows:
-        stars = f"({r.label})" if r.label else ""
-        rows.append([r.name,
-                     format(r.estimate, ".4f"),
-                     format(r.bf10, ".6g") if r.bf10 is not None else None,
-                     format(r.log10_bf10, ".4f") if r.log10_bf10 is not None else None,
-                     stars])
+    rows = [[r.name, format(r.estimate, ".4f"),
+             format(r.bf10, ".6g") if r.bf10 is not None else None,
+             format(r.log10_bf10, ".4f") if r.log10_bf10 is not None else None,
+             f"({r.label})" if r.label else ""] for r in summary.rows]
     table = Table(["coefficient", "Estimate", "BF", "log10(BF)", ""], rows,
                   legend=EVIDENCE_LEGEND)
     if args.report_csv:
@@ -769,7 +769,7 @@ def cmd_predict(args) -> tuple[dict, Table | None]:
 
 def cmd_outliers(args) -> tuple[dict, Table | None]:
     values, source = _read_sample(args, ("--data", "--data-file"))
-    report = detect_outliers(np.asarray(values, dtype=float), args.alpha)
+    report = detect_outliers(values, args.alpha)
     payload = {
         "command": "outliers",
         "alpha": report.alpha,

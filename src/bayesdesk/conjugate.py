@@ -13,16 +13,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .distributions import Beta, Distribution, Gamma, Normal
 from .distributions import mean as dist_mean
 from .distributions import mode as dist_mode
 from .errors import ImproperPosteriorError, NumericalError
 from .hpd import GridDensity
-from .special import _elementwise, log_gamma
+from .special import _elementwise, _is_numpy, log_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SummaryStats",
@@ -57,7 +58,8 @@ def _check_nonneg(name: str, value: float) -> None:
 
 
 def _check_count(name: str, value: int) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+    if (not (isinstance(value, int) or _is_numpy(value, "integer"))
+            or isinstance(value, bool) or value < 0):
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
@@ -82,6 +84,7 @@ class SummaryStats:
 
     @classmethod
     def from_data(cls, data: Sequence[float]) -> "SummaryStats":
+        import numpy as np
         arr = np.asarray(data, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("data must be a nonempty 1-D sequence")
@@ -271,7 +274,7 @@ def map_estimate(posterior: Union[Distribution, GridDensity]) -> MapEstimate:
     if isinstance(posterior, GridDensity):
         lv = posterior.log_vals
         xs = posterior.xs
-        i = int(np.argmax(lv))
+        i = int(lv.argmax())
         if i == 0 or i == lv.size - 1:
             return MapEstimate(float(xs[i]), True)
         x0, x1, x2 = float(xs[i - 1]), float(xs[i]), float(xs[i + 1])
@@ -302,6 +305,7 @@ def _nig_log_density_array(m: NormalInvGammaModel, mu: np.ndarray,
                            sigma_sq: np.ndarray) -> np.ndarray:
     # the scalar formula element by element: logs and the square through math
     # and pow, the arithmetic in numpy in the scalar order
+    import numpy as np
     out = np.full(mu.shape, -math.inf)
     ok = ~(sigma_sq <= 0.0)
     mu, sigma_sq = mu[ok], sigma_sq[ok]
@@ -324,7 +328,8 @@ def nig_log_density(m: NormalInvGammaModel, mu: float, sigma_sq: float):
     """
     if not m.is_proper():
         raise ImproperPosteriorError("joint density requires a proper model")
-    if isinstance(mu, np.ndarray) or isinstance(sigma_sq, np.ndarray):
+    if _is_numpy(mu, "ndarray") or _is_numpy(sigma_sq, "ndarray"):
+        import numpy as np
         mu, sigma_sq = np.broadcast_arrays(np.asarray(mu, dtype=float),
                                            np.asarray(sigma_sq, dtype=float))
         with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in Python
@@ -347,6 +352,7 @@ def sample_joint_posterior(m: NormalInvGammaModel, count: int, seed: int) -> np.
     if not m.is_proper():
         raise ImproperPosteriorError("cannot sample from an improper posterior")
     _check_count("count", count)
+    import numpy as np
     rng = np.random.default_rng(seed)
     n = int(count)
     sigma_sq = (0.5 * m.alpha) / rng.gamma(m.lam_sigma, 1.0, n)

@@ -31,13 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import NumericalError
 from .special import (
     _elementwise,
+    _is_numpy,
     log_beta,
     log_gamma,
     reg_inc_beta,
@@ -45,6 +44,9 @@ from .special import (
     reg_inc_gamma_upper,
     std_normal_cdf,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Normal",
@@ -146,7 +148,8 @@ class Binomial:
     p: float
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool) and self.n >= 0,
+        _require((isinstance(self.n, int) or _is_numpy(self.n, "integer"))
+                 and not isinstance(self.n, bool) and self.n >= 0,
                  f"n must be a nonnegative integer, got {self.n!r}")
         _require(_finite(self.p) and 0.0 <= self.p <= 1.0, f"p must lie in [0, 1], got {self.p!r}")
 
@@ -216,6 +219,7 @@ def _is_integer_value(x: float) -> bool:
 
 def _log_density_array(d: Distribution, x: np.ndarray) -> np.ndarray:
     # the scalar formulas on a 1-D float array, element for element
+    import numpy as np
     if isinstance(d, Normal):
         z = x - d.mean
         return -0.5 * (_LOG_2PI + math.log(d.variance)) - z * z / (2.0 * d.variance)
@@ -252,7 +256,8 @@ def log_density(d: Distribution, x: float):
     at 0 gives +inf. A numpy array x gives an array of the same shape, each
     element equal to the scalar result; discrete kinds take no array.
     """
-    if isinstance(x, np.ndarray):
+    if not isinstance(x, float) and _is_numpy(x, "ndarray"):
+        import numpy as np
         flat = np.asarray(x, dtype=float).ravel()
         if np.isnan(flat).any():
             raise ValueError("x must not be NaN")
@@ -328,6 +333,7 @@ def density(d: Distribution, x: float) -> float:
 
 def _student_t_cdf_array(d: StudentT, x: np.ndarray) -> np.ndarray:
     # the scalar Student t branch below, split by the same t^2 < df test
+    import numpy as np
     t = (x - d.location) / d.scale
     t2 = t * t
     out = np.empty_like(t)
@@ -350,9 +356,10 @@ def cdf(d: Distribution, x: float):
     A Student t also takes a numpy array x, giving an array of the same
     shape whose elements equal the scalar results.
     """
-    if isinstance(x, np.ndarray):
+    if not isinstance(x, float) and _is_numpy(x, "ndarray"):
         if not isinstance(d, StudentT):
             raise TypeError(f"cdf takes an array only for a Student t, got {d!r}")
+        import numpy as np
         flat = np.asarray(x, dtype=float).ravel()
         if np.isnan(flat).any():
             raise ValueError("x must not be NaN")
@@ -553,10 +560,14 @@ def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
     """Draw count values of d, deterministically for a fixed seed.
 
     The stream comes from numpy's default PCG64 bit generator seeded with
-    the given integer, so results are reproducible across platforms.
+    the given integer, so results are reproducible across platforms for a
+    given numpy version (the distribution algorithms may change between
+    releases; the PCG64 bit stream does not).
     """
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
+    if (not (isinstance(count, int) or _is_numpy(count, "integer"))
+            or isinstance(count, bool) or count < 0):
         raise ValueError(f"count must be a nonnegative integer, got {count!r}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     n = int(count)
     if isinstance(d, Normal):

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import CoverageError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GridDensity",
@@ -50,6 +51,7 @@ class GridDensity:
     log_norm_const: float = field(default=math.nan)
 
     def __post_init__(self) -> None:
+        import numpy as np
         xs = np.asarray(self.xs, dtype=float)
         lv = np.asarray(self.log_vals, dtype=float)
         object.__setattr__(self, "xs", xs)
@@ -68,6 +70,7 @@ class GridDensity:
 
     def densities(self) -> np.ndarray:
         """exp(log_vals); on the normalized scale after normalize()."""
+        import numpy as np
         return np.exp(self.log_vals)
 
     def to_csv(self, path: str) -> None:
@@ -116,6 +119,7 @@ def cauchy_normal_log_posterior(
     s = sqrt(prior_variance), at `points` equally spaced values; data too
     spread for those points to lie within s of each other raise ValueError.
     """
+    import numpy as np
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("data must be a nonempty 1-D sequence")
@@ -148,6 +152,7 @@ def cauchy_normal_log_posterior(
 
 
 def _trapezoid(vals: np.ndarray, xs: np.ndarray) -> float:
+    import numpy as np
     return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(xs)))
 
 
@@ -157,6 +162,7 @@ def normalize(g: GridDensity) -> GridDensity:
     Works in log space with a max shift so unnormalized values far from
     zero do not overflow. Raises ValueError when every value is -inf.
     """
+    import numpy as np
     m = float(np.max(g.log_vals))
     if m == -math.inf:
         raise ValueError("cannot normalize a grid that is zero everywhere")
@@ -170,6 +176,7 @@ def normalize(g: GridDensity) -> GridDensity:
 
 def _intervals_at(dens: np.ndarray, xs: np.ndarray, k: float) -> tuple[tuple[float, float], ...]:
     """Runs of grid points with density >= k, ended where density crosses k."""
+    import numpy as np
     steps = np.diff(np.concatenate(([0], (dens >= k).astype(np.int8), [0])))
     first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
     lo, hi = xs[first], xs[last]
@@ -198,6 +205,7 @@ def hpd_from_grid(g: GridDensity, alpha: float) -> HPDRegion:
         raise ValueError("hpd_from_grid requires a normalized GridDensity")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    import numpy as np
     dens, target = g.densities(), 1.0 - alpha
     neg_levels, rank = np.unique(-dens, return_inverse=True)  # rank 0: highest density
     levels, count = -neg_levels, neg_levels.size
@@ -243,6 +251,7 @@ def hpd_from_sample(
     best, retaining every point tied with the value at the cut. The result
     preserves the input order.
     """
+    import numpy as np
     arr = np.asarray(points, dtype=float)
     return arr[_sample_keep_mask(np.array([float(log_post(p)) for p in arr]), alpha)]
 
@@ -253,6 +262,7 @@ def _sample_keep_mask(log_vals: np.ndarray, alpha: float) -> np.ndarray:
     True for the ceil((1-alpha)*count) largest values and every value tied
     with the one at the cut.
     """
+    import numpy as np
     if log_vals.size == 0:
         raise ValueError("points must be a nonempty sample")
     if not 0.0 < alpha < 1.0:

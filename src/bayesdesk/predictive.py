@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .conjugate import NormalInvGammaModel
 from .distributions import StudentT, cdf as dist_cdf, log_density as dist_log_density
 from .errors import ImproperPosteriorError, NumericalError
+from .special import _is_numpy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PredictiveT",
@@ -86,6 +88,7 @@ def predictive_from_posterior(m: NormalInvGammaModel) -> PredictiveT:
 
 def _check_data(data: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """The data as a float array, and divided by the power of two at or below max |x|."""
+    import numpy as np
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1:
         raise ValueError("data must be a 1-D sequence")
@@ -110,6 +113,7 @@ def _loo_cdfs(unit: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     A row is degenerate when the rest of the sample has no spread; its
     predictive collapses to a point, and the CDF is 0, 1/2 or 1 by side.
     """
+    import numpy as np
     n1 = unit.size - 1.0
     lo, hi = unit.min(), unit.max()
     at_lo, at_hi = unit == lo, unit == hi
@@ -149,8 +153,10 @@ def loo_predictive_cdf(data: Sequence[float], i: int) -> float:
     reports for row i, bit for bit.
     """
     _, unit = _check_data(data)
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < unit.size:
+    if (not (isinstance(i, int) or _is_numpy(i, "integer"))
+            or isinstance(i, bool) or not 0 <= i < unit.size):
         raise ValueError(f"index {i!r} out of range for {unit.size} observations")
+    import numpy as np
     cdf, _ = _loo_cdfs(unit, np.array([int(i)]))
     return float(cdf[0])
 
@@ -161,7 +167,7 @@ def bonferroni_bound(n: int, alpha: float) -> float:
     Exactly a = 1 - alpha^(1/n), so that n independent uniform checks at
     bound a jointly stay below level 1 - alpha.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not (isinstance(n, int) or _is_numpy(n, "integer")) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
@@ -198,6 +204,7 @@ def detect_outliers(data: Sequence[float], alpha: float) -> OutlierReport:
     the familywise false-flag rate at 1 - alpha; applying the full bound
     per tail would double it.
     """
+    import numpy as np
     arr, unit = _check_data(data)
     n = int(arr.size)
     a = bonferroni_bound(n, alpha)

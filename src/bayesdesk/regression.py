@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ImproperPosteriorError, RankDeficiencyError
-from .special import log_gamma
+from .special import _is_numpy, log_gamma
 from .testing import evidence_label
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RegressionData",
@@ -60,6 +61,7 @@ class RegressionData:
     column_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "X", X)
@@ -117,7 +119,7 @@ class GPriorPosteriorSummary:
 
 def _column_index(data: RegressionData, j: int) -> int:
     """Validate j as the index of a column that can be dropped."""
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
+    if not (isinstance(j, int) or _is_numpy(j, "integer")) or isinstance(j, bool):
         raise ValueError(f"column index must be an integer, got {j!r}")
     if not 0 <= j < data.p:
         raise ValueError(f"column index {j} out of range for p={data.p}")
@@ -128,6 +130,7 @@ def _column_index(data: RegressionData, j: int) -> int:
 
 def drop_column(data: RegressionData, j: int) -> RegressionData:
     """New RegressionData with column j removed; revalidates rank."""
+    import numpy as np
     j = _column_index(data, j)
     return RegressionData(
         X=np.delete(data.X, j, axis=1),
@@ -154,6 +157,7 @@ def _residual_quad_form(y: np.ndarray, proj: np.ndarray, shrink: float) -> float
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve r x = b for upper-triangular r, last row first."""
+    import numpy as np
     x = np.empty(r.shape[0])
     for i in range(r.shape[0] - 1, -1, -1):
         x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
@@ -166,6 +170,7 @@ def log_marginal_gprior(data: RegressionData, g: float) -> float:
     All submodels of the same n share the additive constant, so the value
     is directly comparable across designs on the same response.
     """
+    import numpy as np
     g = _check_g(g)
     n = data.n
     q, _ = np.linalg.qr(data.X)
@@ -193,6 +198,7 @@ def regression_report(data: RegressionData, g: float | None = None) -> GPriorPos
     least squares. With a single-column design there is no submodel to
     compare against, so that row carries no Bayes factor.
     """
+    import numpy as np
     if g is None:
         g = float(data.n)
     g = _check_g(g)

@@ -19,10 +19,13 @@ NumericalError.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING
 
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "log_gamma",
@@ -199,13 +202,27 @@ def _beta_cont_fraction(a: float, b: float, x: float) -> float:
     raise NumericalError(f"incomplete beta fraction failed to converge for a={a}, b={b}, x={x}")
 
 
+def _is_numpy(v, kind: str) -> bool:
+    """isinstance(v, numpy.<kind>), answered without importing numpy.
+
+    No numpy value can exist before numpy is imported, so while it is not in
+    sys.modules the answer is False. Callers test the builtin type first, as
+    in `isinstance(v, int) or _is_numpy(v, "integer")`, so a Python scalar
+    costs one isinstance.
+    """
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(v, getattr(np, kind))
+
+
 def _elementwise(f, x: np.ndarray, *args) -> np.ndarray:
     """f mapped over the elements of a 1-D float array (and of `args`), as floats."""
+    import numpy as np
     return np.fromiter(map(f, x.tolist(), *args), float, x.size)
 
 
 def _beta_cont_fraction_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     # _beta_cont_fraction on every element, dropping each once it converges
+    import numpy as np
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -245,6 +262,7 @@ def _beta_cont_fraction_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 def _reg_inc_beta_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     # reg_inc_beta element by element: logs and exps through math, as the scalar does
+    import numpy as np
     outside = ~((x >= 0.0) & (x <= 1.0))
     if outside.any():
         raise ValueError(f"x must lie in [0, 1], got {float(x[outside][0])!r}")
@@ -277,7 +295,8 @@ def reg_inc_beta(a: float, b: float, x):
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"shapes must be positive, got a={a!r}, b={b!r}")
-    if isinstance(x, np.ndarray):
+    if not isinstance(x, float) and _is_numpy(x, "ndarray"):
+        import numpy as np
         flat = np.asarray(x, dtype=float).ravel()
         with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in Python
             return _reg_inc_beta_array(a, b, flat).reshape(np.shape(x))

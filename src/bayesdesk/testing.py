@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 from .distributions import Distribution, is_discrete, log_density, quantile, support
 from .errors import ImproperPriorError, NumericalError
 from .special import std_normal_cdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ACCEPT_H0",
@@ -476,6 +477,7 @@ def model_posterior_probs(
     Shifted softmax of log(weight) + log marginal, so any common additive
     constant in the log marginals cancels. Weights must sum to one.
     """
+    import numpy as np
     lm = np.asarray(log_marginals, dtype=float)
     w = np.asarray(prior_weights, dtype=float)
     if lm.ndim != 1 or w.ndim != 1 or lm.shape != w.shape or lm.size == 0:

@@ -151,6 +151,36 @@ class TestHpd:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("model_flags", [
+        ("--model", "beta-binomial", "--successes", "3", "--trials", "10"),
+        ("--model", "normal-jeffreys", "--stats", "n=10,mean=0,ssd=1", "--sample", "1000"),
+    ])
+    def test_alpha_is_checked_before_any_grid_or_draw(self, capsys, monkeypatch, model_flags):
+        def unreachable(*args):
+            raise AssertionError("built an array for a rejected --alpha")
+        monkeypatch.setattr(cli, "_grid_for", unreachable)
+        monkeypatch.setattr(cli, "sample_joint_posterior", unreachable)
+        code, out, err = run(capsys, "hpd", *model_flags, "--alpha", "1.5")
+        assert (code, out, err) == (2, "", "error: alpha must lie strictly in (0, 1), got 1.5\n")
+
+    @pytest.mark.parametrize("prior_var, spacing", [("1e300", "5e+147"), ("1e6", "5.00025")])
+    def test_default_grid_coarser_than_the_region_exits_3(self, capsys, prior_var, spacing):
+        # the default grid spans 10 prior sd each side; the Cauchy likelihood has unit scale
+        argv = ("hpd", "--model", "cauchy-normal", "--prior-var", prior_var, "--data", "1,2",
+                "--format", "json")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("numerical error: an HPD interval spans fewer than two cells of the "
+                       f"default grid, spaced {spacing} by the prior sd; give --grid-min/--grid-max\n")
+        # the same prior on a grid around the data gives a region many cells wide
+        code, out, _ = run(capsys, *argv, "--grid-min", "-20", "--grid-max", "20")
+        assert code == 0
+        [interval] = json.loads(out)["intervals"]
+        assert interval["hi"] - interval["lo"] > 100 * 40.0 / 4000
+        # a prior sd that leaves the grid fine enough is still reported
+        code, out, _ = run(capsys, *argv[:4], "1e4", *argv[5:])
+        assert code == 0 and len(json.loads(out)["intervals"]) == 1
+
 
 class TestTest:
     def test_point_null_reference_value(self, capsys):
@@ -761,9 +791,20 @@ def test_cached_normaliser_stays_out_of_fields_and_payloads(law, evaluate):
     assert law == untouched and hash(law) == hash(untouched)
     assert cached not in repr(law) and cached not in cli._family_payload(law)
 
+def _modules_after(script: str, package: str) -> str:
+    """The `package` modules loaded once `script` has run in a fresh interpreter."""
+    script += f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImportFootprint:
     def test_no_scipy_without_quadrature(self, tmp_path):
-        # scipy is loaded only by the quadrature route; every other subcommand runs on numpy
+        # scipy is loaded only by the quadrature route
         script = f"""
 import contextlib, io, sys
 import bayesdesk
@@ -784,11 +825,71 @@ runs = [
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0, argv
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _modules_after(script, "scipy") == "[]"
+
+    def test_no_numpy_on_scalar_routes(self):
+        # numpy is loaded only by a route that builds an array; the scalar closed
+        # forms and the inputs rejected before any array is built never load it
+        script = f"""
+import contextlib, io, sys
+import bayesdesk
+from bayesdesk import cli
+cancer = {str(DATA / "cancer.csv")!r}
+runs = [
+    (0, ["estimate", "--model", "beta-binomial", "--successes", "38", "--trials", "58"]),
+    (0, ["estimate", "--model", "gamma-poisson", "--prior-shape", "1", "--prior-rate", "2",
+         "--counts", "77,51,7", "--exposures", "87,62,10", "--format", "csv"]),
+    (0, ["estimate", "--model", "gamma-poisson", "--prior-shape", "1", "--prior-rate", "2",
+         "--data-file", cancer, "--group", "malignant", "--format", "json"]),
+    (0, ["predict", "--stats", "n=10,mean=0,ssd=1"]),
+    (0, ["test", "--point-null", "--x", "1.96", "--sigma-sq", "1", "--tau-sq", "10"]),
+    (0, ["test", "--point-null-improper", "--x", "2.58", "--format", "json"]),
+    (0, ["test", "--one-sided", "--x", "1.6449"]),
+    (2, ["test", "--x", "1.0"]),
+    (2, ["hpd", "--model", "beta-binomial", "--successes", "3", "--trials", "10",
+         "--alpha", "1.5"]),
+    (2, ["hpd", "--model", "normal-jeffreys", "--stats", "n=10,mean=0,ssd=1", "--sample",
+         "1000", "--alpha", "1.5"]),
+    (3, ["test", "--point-null", "--x", "1.96", "--slab", "flat"]),
+]
+for want, argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == want, (argv, code)
+"""
+        assert _modules_after(script, "numpy") == "[]"
+
+    def test_numpy_scalars_pass_the_type_checks(self):
+        # with numpy loaded, numpy integers and floats pass where Python ones do; bools do not
+        from bayesdesk.distributions import Binomial, Normal, sample
+        from bayesdesk.conjugate import BetaBinomialModel, update_beta_binomial
+        from bayesdesk.predictive import bonferroni_bound, loo_predictive_cdf
+        from bayesdesk.regression import RegressionData, drop_column
+        data = [0.1, -1.3, 0.7, 2.2, -0.4]
+        design = RegressionData(X=np.column_stack([np.ones(5), data, np.arange(5.0) ** 2]),
+                                y=np.arange(5.0), column_names=("a", "b", "c"))
+        uses = {
+            "Binomial n": lambda k: Binomial(n=k, p=0.5).n,
+            "beta-binomial counts": lambda k: update_beta_binomial(BetaBinomialModel(), k, k),
+            "SummaryStats n": lambda k: SummaryStats(n=k, mean=0.0, sum_sq_dev=1.0).n,
+            "LOO row": lambda k: loo_predictive_cdf(data, k),
+            "Bonferroni n": lambda k: bonferroni_bound(k, 0.95),
+            "drop-one column": lambda k: drop_column(design, k).column_names,
+            "draw count": lambda k: sample(Normal(0.0, 1.0), k, 0).size,
+        }
+        for name, use in uses.items():
+            assert use(np.int64(2)) == use(2), name
+            for refused in (True, np.float64(2.0), 2.0):
+                with pytest.raises(ValueError):
+                    use(refused)
+        for render, f, i in ((cli._json_scalar, "0.10000000000000001", "3"),
+                             (cli._text_scalar, "0.1", "3"),
+                             (cli._csv_scalar, "0.10000000000000001", "3")):
+            assert render(np.float64(0.1)) == render(0.1) == f
+            assert render(np.float32(0.5)) == render(0.5)
+            assert render(np.int64(3)) == render(3) == i
+            assert render(True) == "true"
