@@ -9,8 +9,8 @@ Each flag is declared once, in the `_FLAGS` registry; `_SUBCOMMANDS` lists,
 per subcommand, its handler and the flags it takes, in help order. The
 conjugate models that both `estimate` and `hpd` offer are built by one
 function each, found through the `_CONJUGATE` model table. Every CSV input
-is read by `_read_csv`; report tables, `--format csv` output and side-file
-tables are written by `Table.write_csv`, grid and draw files by `_write_csv_rows`.
+is read by `_read_csv`. A report's row list is a `Table` held by column, for
+JSON, text, CSV and side files; grid and draw files use `_write_csv_rows`.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure
 (improper posterior, banned improper prior, rank deficiency, unreachable
@@ -61,6 +61,7 @@ from .testing import (
     EVIDENCE_LEGEND,
     FlatImproperPrior,
     PointNullSpec,
+    SweepPoint,
     improper_point_null_prob,
     lindley_sweep,
     one_sided_posterior_prob,
@@ -87,14 +88,15 @@ OUT_DIR_ENV = "BAYESDESK_OUT_DIR"
 # ---------------------------------------------------------------------------
 # parsing helpers
 
-def _floats(cells: list[str], where: str) -> list[float]:
-    """Each cell as a float; the first that is not a number is named after `where`."""
+def _numbers(cells: list[str], where: str, cast: Callable = float) -> list:
+    """Each cell as a float, or an int; the first that does not parse is named after `where`."""
     out = []
     for cell in cells:
         try:
-            out.append(float(cell))
+            out.append(cast(cell))
         except ValueError:
-            raise ValueError(f"{where}: could not parse {cell!r} as a number") from None
+            noun = "an integer" if cast is int else "a number"
+            raise ValueError(f"{where}: could not parse {cell!r} as {noun}") from None
     return out
 
 
@@ -102,18 +104,11 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     pieces = [piece.strip() for piece in text.split(",")]
     if "" in pieces:
         raise ValueError(f"{flag}: empty entry in {text!r}")
-    return _floats(pieces, flag)
+    return _numbers(pieces, flag)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        try:
-            out.append(int(piece))
-        except ValueError:
-            raise ValueError(f"{flag}: could not parse {piece!r} as an integer") from None
-    return out
+    return _numbers([piece.strip() for piece in text.split(",")], flag, int)
 
 
 def _parse_stats(text: str) -> SummaryStats:
@@ -224,7 +219,11 @@ def _read_numeric_column(path: str, column: str | None) -> tuple[np.ndarray, str
         raise ValueError(
             f"{path}: column {column!r} not found (have: {', '.join(names)})")
     at = names.index(column)
-    values = [_floats([fields[at]], f"{path}: line {line}")[0] for line, fields in rows]
+    try:
+        values = list(map(float, (fields[at] for _, fields in rows)))
+    except ValueError:  # the checked loop names the line of the first bad cell or row
+        values = [_numbers([fields[at]], f"{path}: line {line}")[0]
+                  for line, fields in _read_csv(path)[1]]
     import numpy as np
     return np.asarray(values, dtype=float), column
 
@@ -240,7 +239,7 @@ def _read_regression(path: str, response: str, add_intercept: bool) -> Regressio
             f"{path}: column 'Intercept' collides with the automatic intercept; "
             "rename it or pass --no-intercept")
     import numpy as np
-    table = np.asarray([_floats(fields, f"{path}: line {line}") for line, fields in rows],
+    table = np.asarray([_numbers(fields, f"{path}: line {line}") for line, fields in rows],
                        dtype=float)
     # copies, not strided views: a view moves the last bits of the Bayes factors
     at = names.index(response)
@@ -257,10 +256,6 @@ def _read_regression(path: str, response: str, add_intercept: bool) -> Regressio
 # ---------------------------------------------------------------------------
 # output formatting
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_scalar(v) -> str:
     if v is None:
         return "null"
@@ -271,37 +266,32 @@ def _json_scalar(v) -> str:
     if isinstance(v, int) or not isinstance(v, float) and _is_numpy(v, "integer"):
         return str(int(v))
     if isinstance(v, float) or _is_numpy(v, "floating"):
-        return _fmt17(v) if math.isfinite(v) else f'"{_fmt17(v)}"'
+        return "%.17g" % v if math.isfinite(v) else '"%.17g"' % v
     raise TypeError(f"cannot serialize {v!r}")
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    if isinstance(obj, Table):
+        return obj.render_json(indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f'{inner}{_json_scalar(str(k))}: {_json_dumps(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        parts = [f"{inner}{_json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _json_scalar(obj)
+        ends, parts = "{}", [f"{_json_scalar(str(k))}: {_json_dumps(v, indent + 1)}"
+                             for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        ends, parts = "[]", [_json_dumps(v, indent + 1) for v in obj]
+    else:
+        return _json_scalar(obj)
+    if not parts:
+        return ends
+    inner = ",\n" + "  " * (indent + 1)
+    return ends[0] + inner[1:] + inner.join(parts) + "\n" + "  " * indent + ends[1]
 
 
 def _flatten(obj, prefix: str = ""):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}{k}.")
+    if not isinstance(obj, (dict, list, tuple)):
+        yield prefix[:-1], obj
         return
-    if isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}{i}.")
-        return
-    yield prefix[:-1], obj
+    for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield from _flatten(v, f"{prefix}{k}.")
 
 
 def _text_scalar(v) -> str:
@@ -314,42 +304,81 @@ def _text_scalar(v) -> str:
     return str(v)
 
 
-class Table:
-    """Column names plus rows of scalars, rendered aligned or as CSV."""
-
-    def __init__(self, columns: Sequence[str], rows: Iterable[Sequence], legend: str | None = None):
-        self.columns = list(columns)
-        self.rows = list(rows)
-        self.legend = legend
-
-    def render_text(self) -> list[str]:
-        cells = [self.columns, *([_text_scalar(v) for v in row] for row in self.rows)]
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        lines = ["  ".join(cell.ljust(widths[j]) if j == 0 else cell.rjust(widths[j])
-                           for j, cell in enumerate(row)) for row in cells]
-        if self.legend:
-            lines.append(self.legend)
-        return lines
-
-    def write_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(map(_csv_scalar, row))
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            self.write_csv(fh)
-
-
 def _csv_scalar(v) -> str:
     if isinstance(v, float) or not isinstance(v, (str, int)) and _is_numpy(v, "floating"):
-        return _fmt17(v)
+        return "%.17g" % v
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
+
+
+def _cells(values: Sequence, scalar: Callable, floats: str, finite_only: bool = False) -> list:
+    """`scalar` of each value, by one format where all are bools, ints or floats (finite
+    floats, with `finite_only`: JSON quotes the others)."""
+    samples = dict(zip(map(type, values), values)).values()  # one value of each type
+    if all(isinstance(v, bool) for v in samples):
+        return list(map(("false", "true").__getitem__, values))
+    if all(type(v) is not bool and (isinstance(v, int) or _is_numpy(v, "integer"))
+           for v in samples):
+        return list(map("%d".__mod__, values))
+    if all(isinstance(v, float) or _is_numpy(v, "floating") for v in samples) and not (
+            finite_only and not all(map(math.isfinite, values))):
+        return list(map(floats.__mod__, values))
+    return list(map(scalar, values))
+
+
+class Column(NamedTuple):
+    """JSON and side files show `key` over the values; text and --format csv show `header`
+    (default: the key) over each value but None and "" through the %-format `shown`."""
+
+    key: str
+    values: Sequence
+    header: str | None = None
+    shown: str | None = None
+
+
+class Table:
+    """A report's row list by column: each output formats a column once, a row by one template."""
+
+    def __init__(self, columns: Iterable[Column], legend: str | None = None):
+        self.columns = list(columns)
+        self.legend = legend
+
+    def render_json(self, indent: int) -> str:
+        """The rows as `_json_dumps` renders the same list of dicts at `indent`."""
+        pad = "  " * (indent + 1)
+        fields = ",\n".join(f'{pad}  {_json_scalar(c.key).replace("%", "%%")}: %s'
+                            for c in self.columns)
+        cells = [_cells(c.values, _json_scalar, "%.17g", True) for c in self.columns]
+        rows = ",\n".join(map(f"{pad}{{\n{fields}\n{pad}}}".__mod__, zip(*cells)))
+        return f"[\n{rows}\n{pad[2:]}]" if rows else "[]"
+
+    def _shown(self, scalar: Callable, floats: str) -> list[list[str]]:
+        """Header and cells of each column, as the text table and --format csv show them."""
+        out = []
+        for c in self.columns:
+            values = c.values if c.shown is None else [
+                v if v is None or v == "" else c.shown % v for v in c.values]
+            out.append([c.key if c.header is None else c.header, *_cells(values, scalar, floats)])
+        return out
+
+    def render_text(self) -> list[str]:
+        columns = self._shown(_text_scalar, "%.10g")
+        template = "  ".join(f"%{'-' if j == 0 else ''}{max(map(len, column))}s"
+                             for j, column in enumerate(columns))
+        return list(map(template.__mod__, zip(*columns))) + ([self.legend] if self.legend else [])
+
+    def write_csv(self, stream) -> None:
+        csv.writer(stream, lineterminator="\n").writerows(zip(*self._shown(_csv_scalar, "%.17g")))
+
+    def to_csv(self, path: str, names: Sequence[str] | None = None) -> None:
+        """The values under their keys, or under `names`, as a side file."""
+        columns = [[name, *_cells(c.values, _csv_scalar, "%.17g")]
+                   for name, c in zip(names or [c.key for c in self.columns], self.columns)]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
 
 
 def _write_side_file(args, key: str, payload: dict, write: Callable[[str], None]) -> None:
@@ -373,7 +402,7 @@ def _emit(args, payload: dict, table: Table | None) -> None:
         return
     if args.format == "csv":
         if table is None:
-            table = Table(["key", "value"], _flatten(payload))
+            table = Table(map(Column, ("key", "value"), zip(*_flatten(payload))))
         table.write_csv(sys.stdout)
         return
     # text: self-describing header with the settings the run used: alpha and
@@ -385,14 +414,11 @@ def _emit(args, payload: dict, table: Table | None) -> None:
     settings = [f"{name}={_text_scalar(getattr(args, name))}" for name in used if used[name]]
     if settings:
         print("# settings: " + " ".join(settings))
-    # a list that the table shows is not repeated as key: value lines
-    shown = ("rows", "sweep") if table is not None else ()
-    for k, v in _flatten({k: v for k, v in payload.items() if k not in shown}):
+    # the table's rows are not repeated as key: value lines
+    for k, v in _flatten({k: v for k, v in payload.items() if not isinstance(v, Table)}):
         print(f"{k}: {_text_scalar(v)}")
     if table is not None:
-        print()
-        for line in table.render_text():
-            print(line)
+        print("", *table.render_text(), sep="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +604,9 @@ def cmd_estimate(args) -> tuple[dict, Table | None]:
         build, _ = _CONJUGATE[args.model]
         law, fields = build(args)
         payload.update(fields)
-        payload["posterior"] = _family_payload(law)
-        payload["posterior_mean"] = posterior_mean(law)
+        payload.update(posterior=_family_payload(law), posterior_mean=posterior_mean(law))
         est = map_estimate(law)
-        payload["map_estimate"] = est.value
-        payload["map_at_boundary"] = est.at_boundary
+        payload.update(map_estimate=est.value, map_at_boundary=est.at_boundary)
     if args.grid_csv:
         _write_side_file(args, "grid_csv", payload, _log_density_grid(law, args).to_csv)
     return payload, None
@@ -595,15 +619,12 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
     if args.model == "normal-jeffreys":
         stats, source = _resolve_stats(args)
         post = update_normal_inverse_gamma(NormalInvGammaModel(), stats)
-        payload["data"] = source
-        payload["posterior"] = _family_payload(post)
+        payload.update(data=source, posterior=_family_payload(post))
         if args.sample is None:
             raise ValueError("normal-jeffreys HPD is sample-based: pass --sample")
         draws = sample_joint_posterior(post, args.sample, args.seed)
         kept = _sample_keep_mask(nig_log_density(post, *draws.T), args.alpha)
-        payload["seed"] = args.seed
-        payload["n_draws"] = int(args.sample)
-        payload["n_retained"] = int(kept.sum())
+        payload.update(seed=args.seed, n_draws=int(args.sample), n_retained=int(kept.sum()))
         if args.points_csv:
             rows = zip(*draws.T.tolist(), kept.tolist())
             _write_side_file(args, "points_csv", payload, lambda path: _write_csv_rows(
@@ -618,8 +639,7 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
         values = _parse_float_list(args.data, "--data")
         raw = cauchy_normal_log_posterior(values, args.prior_var, _grid_from_range(args),
                                           args.grid_points)
-        payload["prior_variance"] = args.prior_var
-        payload["data"] = values
+        payload.update(prior_variance=args.prior_var, data=values)
         grid_density = normalize(raw)
     else:
         build, shared = _CONJUGATE[args.model]
@@ -630,15 +650,16 @@ def cmd_hpd(args) -> tuple[dict, Table | None]:
 
     region = hpd_from_grid(grid_density, args.alpha)
     step = float(grid_density.xs[1] - grid_density.xs[0])
-    if args.model == "cauchy-normal" and args.grid_min is None and any(
+    # these default grids ignore the posterior's width: [0, 1], or 10 prior sd
+    spacing = {"beta-binomial": "over [0, 1]", "cauchy-normal": "by the prior sd"}.get(args.model)
+    if spacing and args.grid_min is None and any(
             hi - lo < 2.0 * step for lo, hi in region.intervals):
         raise NumericalError(f"an HPD interval spans fewer than two cells of the default grid, "
-                             f"spaced {step:g} by the prior sd; give --grid-min/--grid-max")
+                             f"spaced {step:g} {spacing}; give --grid-min/--grid-max")
     payload["grid"] = {"min": float(grid_density.xs[0]), "max": float(grid_density.xs[-1]),
                        "points": int(grid_density.xs.size)}
-    payload["log_norm_const"] = grid_density.log_norm_const
-    payload["k_alpha"] = region.k_alpha
-    payload["coverage"] = region.coverage
+    payload.update(log_norm_const=grid_density.log_norm_const, k_alpha=region.k_alpha,
+                   coverage=region.coverage)
     payload["intervals"] = [{"lo": lo, "hi": hi} for lo, hi in region.intervals]
     if args.grid_csv:
         _write_side_file(args, "grid_csv", payload, grid_density.to_csv)
@@ -656,9 +677,7 @@ def _resolve_sd(args, name: str, default: float | None) -> float | None:
                              f"got {value!r}")
     if squared is not None:
         return math.sqrt(squared)
-    if plain is not None:
-        return plain
-    return default
+    return default if plain is None else plain
 
 
 def cmd_test(args) -> tuple[dict, Table | None]:
@@ -671,18 +690,14 @@ def cmd_test(args) -> tuple[dict, Table | None]:
         payload["posterior_prob_theta_le_0"] = one_sided_posterior_prob(args.x)
         return payload, None
     if args.point_null_improper:
-        payload["posterior_null_prob"] = improper_point_null_prob(args.x)
-        payload["upper_bound"] = improper_point_null_prob(0.0)
+        payload.update(posterior_null_prob=improper_point_null_prob(args.x),
+                       upper_bound=improper_point_null_prob(0.0))
         return payload, None
 
     sigma = _resolve_sd(args, "sigma", 1.0)
     tau = _resolve_sd(args, "tau", None)
-    payload["sigma"] = sigma
-    payload["rho"] = args.rho
-    payload["theta0"] = args.theta0
-    payload["slab"] = args.slab
+    payload.update(sigma=sigma, rho=args.rho, theta0=args.theta0, slab=args.slab)
 
-    table: Table | None = None
     run_point = tau is not None or args.slab == "flat"
     if not run_point and not args.sweep_tau:
         raise ValueError("point-null test needs --tau/--tau-sq or --sweep-tau")
@@ -696,15 +711,11 @@ def cmd_test(args) -> tuple[dict, Table | None]:
             payload["tau"] = tau
             slab = Normal(args.theta0, tau * tau)
         spec = PointNullSpec(theta0=args.theta0, rho=args.rho, slab=slab)
-        method = "quadrature" if args.quadrature else "auto"
-        result = point_null_test(spec, args.x, sigma, method=method)
+        result = point_null_test(spec, args.x, sigma,
+                                 method="quadrature" if args.quadrature else "auto")
         payload["method"] = "quadrature" if args.quadrature else "closed_form"
-        payload["bf10"] = result.bf10
-        payload["log10_bf10"] = result.log10_bf10
-        payload["posterior_null_prob"] = result.posterior_null_prob
-        payload["decision"] = result.decision
-        payload["tie"] = result.tie
-        payload["evidence"] = result.evidence
+        payload.update((key, getattr(result, key)) for key in (
+            "bf10", "log10_bf10", "posterior_null_prob", "decision", "tie", "evidence"))
 
     if args.sweep_tau:
         if args.slab == "flat":
@@ -720,14 +731,11 @@ def cmd_test(args) -> tuple[dict, Table | None]:
             raise ValueError("--sweep-tau: hi must be finite")
         import numpy as np
         points = lindley_sweep(args.x - args.theta0, sigma, args.rho, np.geomspace(lo, hi, n_pts))
-        payload["sweep"] = [{"tau": p.tau, "bf10": p.bf10,
-                             "posterior_null_prob": p.posterior_null_prob} for p in points]
-        table = Table(["tau", "bf10", "posterior_null_prob"],
-                      [[p.tau, p.bf10, p.posterior_null_prob] for p in points])
+        table = payload["sweep"] = Table(map(Column, SweepPoint._fields, zip(*points)))
         if args.sweep_csv:
-            _write_side_file(args, "sweep_csv", payload,
-                             Table(["tau", "bf10", "posterior_prob"], table.rows).to_csv)
-    return payload, table
+            _write_side_file(args, "sweep_csv", payload, lambda path: table.to_csv(
+                path, ("tau", "bf10", "posterior_prob")))
+    return payload, payload.get("sweep")
 
 
 def cmd_regress(args) -> tuple[dict, Table | None]:
@@ -741,21 +749,15 @@ def cmd_regress(args) -> tuple[dict, Table | None]:
         "p": data.p,
         "g": summary.g,
         "estimate_kind": "posterior mean (g/(g+1)) * least-squares",
-        "rows": [{"name": r.name, "estimate": r.estimate, "bf10": r.bf10,
-                  "log10_bf10": r.log10_bf10, "label": r.label} for r in summary.rows],
+        "rows": Table(map(Column, ("name", "estimate", "bf10", "log10_bf10", "label"),
+                          zip(*(dataclasses.astuple(r) for r in summary.rows)),
+                          ("coefficient", "Estimate", "BF", "log10(BF)", ""),
+                          (None, "%.4f", "%.6g", "%.4f", "(%s)")), legend=EVIDENCE_LEGEND),
         "legend": EVIDENCE_LEGEND,
     }
-    rows = [[r.name, format(r.estimate, ".4f"),
-             format(r.bf10, ".6g") if r.bf10 is not None else None,
-             format(r.log10_bf10, ".4f") if r.log10_bf10 is not None else None,
-             f"({r.label})" if r.label else ""] for r in summary.rows]
-    table = Table(["coefficient", "Estimate", "BF", "log10(BF)", ""], rows,
-                  legend=EVIDENCE_LEGEND)
     if args.report_csv:
-        report = Table(["name", "estimate", "bf10", "log10_bf10", "label"],
-                       [list(row.values()) for row in payload["rows"]])
-        _write_side_file(args, "report_csv", payload, report.to_csv)
-    return payload, table
+        _write_side_file(args, "report_csv", payload, payload["rows"].to_csv)
+    return payload, payload["rows"]
 
 
 def cmd_predict(args) -> tuple[dict, Table | None]:
@@ -778,16 +780,14 @@ def cmd_outliers(args) -> tuple[dict, Table | None]:
         "flag_rule": "loo_cdf < bound_a/2 or loo_cdf > 1 - bound_a/2",
         "data": source,
         "flagged_indices": list(report.flagged_indices()),
-        "rows": [{"index": r.index, "value": r.value, "loo_cdf": r.loo_cdf,
-                  "flagged": r.flagged, "degenerate": r.degenerate} for r in report.rows],
+        "rows": Table([Column("index", range(report.n)),
+                       Column("value", report.value, shown="%.6g"),
+                       Column("loo_cdf", report.loo_cdf, shown="%.6f"),
+                       Column("flagged", report.flagged), Column("degenerate", report.degenerate)]),
     }
-    columns = ["index", "value", "loo_cdf", "flagged", "degenerate"]
-    table = Table(columns, [[r.index, format(r.value, ".6g"), format(r.loo_cdf, ".6f"),
-                             r.flagged, r.degenerate] for r in report.rows])
     if args.report_csv:
-        report_table = Table(columns, [list(row.values()) for row in payload["rows"]])
-        _write_side_file(args, "report_csv", payload, report_table.to_csv)
-    return payload, table
+        _write_side_file(args, "report_csv", payload, payload["rows"].to_csv)
+    return payload, payload["rows"]
 
 
 # ---------------------------------------------------------------------------

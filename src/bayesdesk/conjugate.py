@@ -20,7 +20,7 @@ from .distributions import mean as dist_mean
 from .distributions import mode as dist_mode
 from .errors import ImproperPosteriorError, NumericalError
 from .hpd import GridDensity
-from .special import _elementwise, _is_numpy, log_gamma
+from .special import _check_real, _elementwise, _is_numpy, log_gamma
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,13 +46,9 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _check_nonneg(name: str, value: float) -> None:
-    _check_finite(name, value)
+def _check_nonneg(obj, name: str) -> None:
+    value = getattr(obj, name)
+    _check_real(obj, name)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
@@ -79,8 +75,8 @@ class SummaryStats:
         _check_count("n", self.n)
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n!r}")
-        _check_finite("mean", self.mean)
-        _check_nonneg("sum_sq_dev", self.sum_sq_dev)
+        _check_real(self, "mean")
+        _check_nonneg(self, "sum_sq_dev")
 
     @classmethod
     def from_data(cls, data: Sequence[float]) -> "SummaryStats":
@@ -111,7 +107,7 @@ class BetaBinomialModel:
 
     def __post_init__(self) -> None:
         for name, v in (("prior_a", self.prior_a), ("prior_b", self.prior_b)):
-            _check_finite(name, v)
+            _check_real(self, name)
             if v <= 0:
                 raise ValueError(f"{name} must be positive, got {v!r}")
 
@@ -125,7 +121,7 @@ class GammaPoissonModel:
 
     def __post_init__(self) -> None:
         for name, v in (("prior_shape", self.prior_shape), ("prior_rate", self.prior_rate)):
-            _check_finite(name, v)
+            _check_real(self, name)
             if v <= 0:
                 raise ValueError(f"{name} must be positive, got {v!r}")
 
@@ -141,8 +137,8 @@ class NormalKnownVarModel:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite("xi", self.xi)
-        _check_nonneg("lam", self.lam)
+        _check_real(self, "xi")
+        _check_nonneg(self, "lam")
 
 
 @dataclass(frozen=True)
@@ -160,10 +156,10 @@ class NormalInvGammaModel:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite("xi", self.xi)
-        _check_nonneg("lam_mu", self.lam_mu)
-        _check_nonneg("lam_sigma", self.lam_sigma)
-        _check_nonneg("alpha", self.alpha)
+        _check_real(self, "xi")
+        _check_nonneg(self, "lam_mu")
+        _check_nonneg(self, "lam_sigma")
+        _check_nonneg(self, "alpha")
 
     def is_proper(self) -> bool:
         return self.lam_mu > 0 and self.lam_sigma > 0 and self.alpha > 0

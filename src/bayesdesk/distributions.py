@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Union
 
 from .errors import NumericalError
 from .special import (
+    _check_real,
     _elementwise,
     _is_numpy,
     log_beta,
@@ -80,8 +81,8 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+def _positive(x: float) -> bool:
+    return x > 0
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ class Normal:
     variance: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.mean), f"mean must be finite, got {self.mean!r}")
-        _require(_finite(self.variance) and self.variance > 0, f"variance must be positive, got {self.variance!r}")
+        _check_real(self, "mean")
+        _check_real(self, "variance", "be positive", _positive)
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ class Gamma:
     rate: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.shape) and self.shape > 0, f"shape must be positive, got {self.shape!r}")
-        _require(_finite(self.rate) and self.rate > 0, f"rate must be positive, got {self.rate!r}")
+        _check_real(self, "shape", "be positive", _positive)
+        _check_real(self, "rate", "be positive", _positive)
 
     @cached_property
     def _log_norm(self) -> float:
@@ -120,8 +121,8 @@ class InverseGamma:
     scale: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.shape) and self.shape > 0, f"shape must be positive, got {self.shape!r}")
-        _require(_finite(self.scale) and self.scale > 0, f"scale must be positive, got {self.scale!r}")
+        _check_real(self, "shape", "be positive", _positive)
+        _check_real(self, "scale", "be positive", _positive)
 
     @cached_property
     def _log_norm(self) -> float:
@@ -134,8 +135,8 @@ class Beta:
     b: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.a) and self.a > 0, f"a must be positive, got {self.a!r}")
-        _require(_finite(self.b) and self.b > 0, f"b must be positive, got {self.b!r}")
+        _check_real(self, "a", "be positive", _positive)
+        _check_real(self, "b", "be positive", _positive)
 
     @cached_property
     def _log_norm(self) -> float:
@@ -151,7 +152,7 @@ class Binomial:
         _require((isinstance(self.n, int) or _is_numpy(self.n, "integer"))
                  and not isinstance(self.n, bool) and self.n >= 0,
                  f"n must be a nonnegative integer, got {self.n!r}")
-        _require(_finite(self.p) and 0.0 <= self.p <= 1.0, f"p must lie in [0, 1], got {self.p!r}")
+        _check_real(self, "p", "lie in [0, 1]", lambda p: 0.0 <= p <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ class Poisson:
     rate: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.rate) and self.rate > 0, f"rate must be positive, got {self.rate!r}")
+        _check_real(self, "rate", "be positive", _positive)
 
 
 @dataclass(frozen=True)
@@ -171,9 +172,9 @@ class StudentT:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(_finite(self.df) and self.df > 0, f"df must be positive, got {self.df!r}")
-        _require(_finite(self.location), f"location must be finite, got {self.location!r}")
-        _require(_finite(self.scale) and self.scale > 0, f"scale must be positive, got {self.scale!r}")
+        _check_real(self, "df", "be positive", _positive)
+        _check_real(self, "location")
+        _check_real(self, "scale", "be positive", _positive)
 
     @cached_property
     def _log_norm(self) -> float:
@@ -187,8 +188,8 @@ class Cauchy:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(_finite(self.location), f"location must be finite, got {self.location!r}")
-        _require(_finite(self.scale) and self.scale > 0, f"scale must be positive, got {self.scale!r}")
+        _check_real(self, "location")
+        _check_real(self, "scale", "be positive", _positive)
 
 
 Distribution = Union[Normal, Gamma, InverseGamma, Beta, Binomial, Poisson, StudentT, Cauchy]

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 from .conjugate import NormalInvGammaModel
@@ -185,15 +187,28 @@ class OutlierRow:
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """Per-observation LOO results plus the bound that produced the flags."""
+    """Per-observation LOO results plus the bound that produced the flags.
+
+    The results are held as columns, one tuple per OutlierRow field in index
+    order (the index column is range(n)); `rows` builds the OutlierRow records
+    from them on first access.
+    """
 
     alpha: float
     bound_a: float
     n: int
-    rows: tuple[OutlierRow, ...]
+    value: tuple[float, ...]
+    loo_cdf: tuple[float, ...]
+    flagged: tuple[bool, ...]
+    degenerate: tuple[bool, ...]
+
+    @cached_property
+    def rows(self) -> tuple[OutlierRow, ...]:
+        return tuple(map(OutlierRow, range(self.n), self.value, self.loo_cdf, self.flagged,
+                         self.degenerate))
 
     def flagged_indices(self) -> tuple[int, ...]:
-        return tuple(r.index for r in self.rows if r.flagged)
+        return tuple(compress(range(self.n), self.flagged))
 
 
 def detect_outliers(data: Sequence[float], alpha: float) -> OutlierReport:
@@ -211,7 +226,6 @@ def detect_outliers(data: Sequence[float], alpha: float) -> OutlierReport:
     half = 0.5 * a
     cdf, degenerate = _loo_cdfs(unit, np.arange(n))
     flagged = (cdf < half) | (cdf > 1.0 - half)
-    rows = tuple(OutlierRow(index=i, value=x, loo_cdf=f, flagged=fl, degenerate=dg)
-                 for i, (x, f, fl, dg) in enumerate(zip(arr.tolist(), cdf.tolist(),
-                                                        flagged.tolist(), degenerate.tolist())))
-    return OutlierReport(alpha=float(alpha), bound_a=a, n=n, rows=rows)
+    return OutlierReport(alpha=float(alpha), bound_a=a, n=n, value=tuple(arr.tolist()),
+                         loo_cdf=tuple(cdf.tolist()), flagged=tuple(flagged.tolist()),
+                         degenerate=tuple(degenerate.tolist()))

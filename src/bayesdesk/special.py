@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import NumericalError
 
@@ -212,6 +212,24 @@ def _is_numpy(v, kind: str) -> bool:
     """
     np = sys.modules.get("numpy")
     return np is not None and isinstance(v, getattr(np, kind))
+
+
+def _check_real(obj, name: str, rule: str = "be finite", ok: Callable | None = None) -> None:
+    """Check that field `name` of the frozen dataclass `obj` is a finite real for
+    which `ok` holds, and store it as a builtin int or float.
+
+    numpy integer and floating scalars are accepted; a bool is kept as it is.
+    Otherwise raises ValueError("<name> must <rule>, got <value!r>").
+    """
+    value = real = getattr(obj, name)
+    if type(value) not in (float, int, bool):
+        real = (int(value) if isinstance(value, int) or _is_numpy(value, "integer")
+                else float(value) if isinstance(value, float) or _is_numpy(value, "floating")
+                else math.nan)
+    if not (math.isfinite(real) and (ok is None or ok(real))):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    if real is not value:
+        object.__setattr__(obj, name, real)
 
 
 def _elementwise(f, x: np.ndarray, *args) -> np.ndarray:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bayesdesk import cli
 from bayesdesk.cli import main
@@ -470,6 +471,99 @@ class TestArrayRoutes:
         assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
         rows = json.loads(out)["rows"]
         assert [(r["loo_cdf"], r["degenerate"]) for r in rows] == [(0.5, True)] * 3
+
+
+class TestColumnarReports:
+    """Report row lists render by column, with the bytes of the per-cell renderers."""
+
+    def test_outlier_report_makes_few_scalar_calls_and_no_rows(self, capsys, monkeypatch,
+                                                                tmp_path):
+        from bayesdesk import predictive
+        json_calls, built = [], []
+        monkeypatch.setattr(cli, "_json_scalar", lambda v, real=cli._json_scalar:
+                            json_calls.append(v) or real(v))
+        monkeypatch.setattr(predictive, "OutlierRow", lambda *row, real=predictive.OutlierRow:
+                            built.append(row) or real(*row))
+        data = np.random.default_rng(2707).normal(0.0, 1.0, 10_000)
+        data[::997] += 30.0
+        path = tmp_path / "long.csv"
+        path.write_text("x\n" + "".join(f"{v!r}\n" for v in data.tolist()))
+        code, out, _ = run(capsys, "outliers", "--data-file", str(path), "--format", "json")
+        assert code == 0 and len(json_calls) < 100 and built == []
+        report = predictive.detect_outliers(data, 0.95)
+        assert built == []
+        rows = json.loads(out)["rows"]
+        assert [r["loo_cdf"] for r in rows] == list(report.loo_cdf)
+        assert [r.loo_cdf for r in report.rows] == list(report.loo_cdf)
+        assert len(built) == 10_000 and report.rows is report.rows
+        assert report.flagged_indices() == tuple(r.index for r in report.rows if r.flagged)
+
+
+_ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308)
+_TEXT = st.text(alphabet='ab"\\,\n %-', max_size=6)
+_CELLS = {
+    "float": st.one_of(st.floats(), st.sampled_from(_ODD_FLOATS)),
+    "int": st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64)),
+    "bool": st.booleans(),
+    "str": _TEXT,
+    "numpy float": st.floats().map(np.float64) | st.floats(width=32).map(np.float32),
+}
+_CELLS["mixed"] = st.one_of(st.none(), *_CELLS.values())
+# a column's kind, and the %-formats the text views may show it through
+_SHOWN = {"float": (None, "%.6g", "%.4f"), "int": (None, "%.6f"), "bool": (None,),
+          "str": (None, "(%s)"), "numpy float": (None, "%.6g"), "mixed": (None,)}
+
+
+@st.composite
+def _tables(draw):
+    """A cli.Table of random columns, plus each column's raw and shown cells."""
+    n_rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(_CELLS)))
+        values = draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows))
+        if kind != "mixed" and draw(st.booleans()):
+            values = [None if draw(st.booleans()) else v for v in values]
+        columns.append(cli.Column(draw(_TEXT), values, draw(st.none() | _TEXT),
+                                  draw(st.sampled_from(_SHOWN[kind]))))
+    return cli.Table(columns)
+
+
+def _shown_rows(table, scalar):
+    """The per-cell oracle of the text views: header row, then each row's cells."""
+    def show(c, v):
+        return v if c.shown is None or v is None or v == "" else c.shown % v
+    rows = [[c.key if c.header is None else c.header for c in table.columns]]
+    for row in zip(*(c.values for c in table.columns)):
+        rows.append([scalar(show(c, v)) for c, v in zip(table.columns, row)])
+    return rows
+
+
+def _csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@given(table=_tables(), indent=st.integers(0, 3))
+def test_columnar_table_matches_the_per_cell_renderers(table, indent, tmp_path_factory):
+    keys = [c.key for c in table.columns]
+    records = [dict(zip(keys, row)) for row in zip(*(c.values for c in table.columns))]
+    if len(set(keys)) == len(keys):  # a dict holds each key once
+        assert cli._json_dumps(table, indent) == cli._json_dumps(records, indent)
+    text = _shown_rows(table, cli._text_scalar)
+    widths = [max(map(len, column)) for column in zip(*text)]
+    assert table.render_text() == ["  ".join(
+        cell.ljust(widths[j]) if j == 0 else cell.rjust(widths[j]) for j, cell in enumerate(row))
+        for row in text]
+    stream = io.StringIO()
+    table.write_csv(stream)
+    assert stream.getvalue() == _csv_text(_shown_rows(table, cli._csv_scalar))
+    path = tmp_path_factory.mktemp("side") / "side.csv"
+    table.to_csv(str(path))
+    raw = [[cli._csv_scalar(v) for v in row] for row in zip(*(c.values for c in table.columns))]
+    with open(path, newline="") as fh:
+        assert fh.read() == _csv_text([keys, *raw])
 
 
 class TestOutputContract:

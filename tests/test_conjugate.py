@@ -1,5 +1,6 @@
 """Conjugate posterior updates and the joint normal-variance model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -328,3 +329,26 @@ class TestNigUpdateFarFromUnitScale:
             update_normal_inverse_gamma(NormalInvGammaModel(lam_mu=1.0), SummaryStats(10, 1e200, 1.0))
         with pytest.raises(NumericalError, match="overflows float range"):
             update_normal_inverse_gamma(NormalInvGammaModel(alpha=1e308), SummaryStats(10, 0.0, 1e308))
+
+
+class TestNumpyScalarHyperparameters:
+    def test_stored_as_builtins(self):
+        model = BetaBinomialModel(np.int64(2), np.float32(1.5))
+        assert (model.prior_a, model.prior_b) == (2, 1.5)
+        assert (type(model.prior_a), type(model.prior_b)) == (int, float)
+        prior = NormalInvGammaModel(np.float64(1.0), np.int64(2), np.float32(3.0), np.float64(4.0))
+        assert [type(v) for v in dataclasses.astuple(prior)] == [float, int, float, float]
+        assert update_beta_binomial(model, 3, 10) == Beta(5.0, 8.5)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BetaBinomialModel(np.float64(np.inf), 1.0),
+         "prior_a must be finite, got np.float64(inf)"),
+        (lambda: BetaBinomialModel(np.int64(0), 1.0), "prior_a must be positive, got np.int64(0)"),
+        (lambda: NormalKnownVarModel(0.0, np.float64(-1.0)),
+         "lam must be nonnegative, got np.float64(-1.0)"),
+        (lambda: SummaryStats(3, np.float32(np.nan), 1.0), "mean must be finite, got np.float32(nan)"),
+    ])
+    def test_rejected_values_keep_their_messages(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message

@@ -463,3 +463,34 @@ class TestCachedLogNormaliser:
         for x in (0.5, 1.0, 2.0):
             log_density(d, x)
         assert calls == [2.5]
+
+
+class TestNumpyScalarParameters:
+    """numpy scalars are real numbers: accepted, and stored as builtin ints and floats."""
+
+    @pytest.mark.parametrize("law, fields", [
+        (lambda: Normal(np.int64(1), 1.0), (1, 1.0)),
+        (lambda: Normal(np.float32(1), np.float64(2.5)), (1.0, 2.5)),
+        (lambda: StudentT(np.int32(3), np.float16(-0.5), 2), (3, -0.5, 2)),
+        (lambda: Binomial(4, np.float64(0.25)), (4, 0.25)),
+    ])
+    def test_stored_as_builtins(self, law, fields):
+        d = law()
+        got = tuple(getattr(d, f) for f in d.__dataclass_fields__)
+        assert got == fields and [type(v) for v in got] == [type(v) for v in fields]
+
+    def test_bool_is_kept_as_it_is(self):
+        assert Normal(True, 1.0).mean is True
+
+    @pytest.mark.parametrize("law, message", [
+        (lambda: Normal(np.float64(np.inf), 1.0), "mean must be finite, got np.float64(inf)"),
+        (lambda: Normal(0.0, np.int64(0)), "variance must be positive, got np.int64(0)"),
+        (lambda: Gamma(np.float32(np.nan), 1.0), "shape must be positive, got np.float32(nan)"),
+        (lambda: Binomial(3, np.float64(1.5)), "p must lie in [0, 1], got np.float64(1.5)"),
+        (lambda: Normal(np.bool_(True), 1.0), "mean must be finite, got np.True_"),
+        (lambda: Normal("1", 1.0), "mean must be finite, got '1'"),
+    ])
+    def test_rejected_values_keep_their_messages(self, law, message):
+        with pytest.raises(ValueError) as excinfo:
+            law()
+        assert str(excinfo.value) == message
