@@ -353,7 +353,7 @@ class Table:
                             for c in self.columns)
         cells = [_cells(c.values, _json_scalar, "%.17g", True) for c in self.columns]
         rows = ",\n".join(map(f"{pad}{{\n{fields}\n{pad}}}".__mod__, zip(*cells)))
-        return f"[\n{rows}\n{pad[2:]}]" if rows else "[]"
+        return f"[\n{rows}\n{'  ' * indent}]" if rows else "[]"
 
     def _shown(self, scalar: Callable, floats: str) -> list[list[str]]:
         """Header and cells of each column, as the text table and --format csv show them."""

@@ -516,7 +516,7 @@ _SHOWN = {"float": (None, "%.6g", "%.4f"), "int": (None, "%.6f"), "bool": (None,
 
 @st.composite
 def _tables(draw):
-    """A cli.Table of random columns, plus each column's raw and shown cells."""
+    """A cli.Table of 1-4 random columns of 0-6 rows, with random headers and shown formats."""
     n_rows = draw(st.integers(0, 6))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
